@@ -28,7 +28,6 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -100,7 +99,6 @@ class TimingJitter:
     """Sampled mistimed control: iid Gaussian duration errors on every gate."""
 
     sigma: float
-    seed: int = 0
 
     def __post_init__(self):
         if self.sigma < 0:
@@ -186,18 +184,6 @@ def averaged_jitter_superop(h: np.ndarray, sigma: float) -> np.ndarray:
     return basis @ np.diag(vec(lam)) @ basis.conj().T
 
 
-def sampled_jitter_superop(h: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """One sampled timing-error channel ``exp(i H delta) . exp(-i H delta)``.
-
-    Consumes exactly one Gaussian draw from ``rng``.
-    """
-    h = require_hermitian(h, "sampled_jitter_superop argument")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    delta = float(rng.normal(0.0, sigma))
-    return unitary_superop(hermitian_exp(h, delta))
-
-
 def ideal_map(plan: TrotterPlan) -> np.ndarray:
     """Supermatrix of the exact evolution ``exp(i H t)`` with ``H = sum_j H_j``.
 
@@ -279,20 +265,6 @@ def faulty_trotter(
     raise TypeError(f"unknown noise model {noise!r}")
 
 
-def rescale_time_energy(plan: TrotterPlan, a: float) -> TrotterPlan:
-    """Return the plan run with generators scaled by ``a`` over wall-clock ``t/a``.
-
-    The ideal evolution is unchanged; noise severity transforms per model
-    (timing jitter couples through ``a*sigma``, depolarizing is invariant,
-    decoherence sees the shortened wall-clock time).
-    """
-    if a <= 0:
-        raise ValueError(f"a must be > 0, got {a}")
-    if a == plan.a:
-        return plan
-    return dataclasses.replace(plan, a=a)
-
-
 def _left_right_sandwich(m: np.ndarray) -> np.ndarray:
     """``kron(conj(M), I) + kron(I, M)``, the superop derivative of conjugation."""
     d = m.shape[0]
@@ -368,17 +340,3 @@ def single_step_error_expansion(plan: TrotterPlan, deltas: np.ndarray) -> np.nda
             if j > l:
                 out += w * _left_right_sandwich(terms[j] @ terms[l])
     return out
-
-
-def averaged_step_error_expansion(plan: TrotterPlan, sigma: float) -> np.ndarray:
-    """Gaussian average of :func:`single_step_error_expansion` in closed form.
-
-    Only three pieces survive the average: the splitting defect at
-    ``tau^2 / 2`` and the two ``sigma^2`` pieces collected in
-    :func:`jitter_defect_map`.  Even in ``sigma``, since the linear drift
-    averages away.
-    """
-    tau = plan.tau
-    return -0.5 * tau**2 * commutator_defect_map(plan.terms) + sigma**2 * jitter_defect_map(
-        plan.terms
-    )

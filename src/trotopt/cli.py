@@ -28,7 +28,7 @@ from .experiments import (
     sweep_rows,
 )
 from .hamiltonians import HamiltonianFormatError
-from .metrics import DiamondNormError
+from .metrics import DIAMOND_MAX_DIM, DiamondNormError
 
 
 def _common_options(parser: argparse.ArgumentParser):
@@ -119,10 +119,13 @@ def main(argv=None) -> int:
             _emit(format_csv(MONTECARLO_HEADER, rows, config), config.out)
         elif args.command == "optimum":
             config = _config_from_args(args)
-            _emit(optimum_report(config, dmax=args.dmax), config.out)
+            _emit(optimum_report(config, dmax=args.dmax, jobs=args.jobs), config.out)
         elif args.command == "benchmarks":
-            if args.dim < 2:
-                raise ConfigError(f"--dim must be >= 2, got {args.dim}")
+            if not 2 <= args.dim <= DIAMOND_MAX_DIM:
+                raise ConfigError(
+                    f"--dim must be in [2, {DIAMOND_MAX_DIM}] (the diamond SDP supports "
+                    f"dimension <= {DIAMOND_MAX_DIM}), got {args.dim}"
+                )
             text, ok = benchmark_report(args.dim, args.sdp_tol)
             _emit(text, args.out)
             if not ok:

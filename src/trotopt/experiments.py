@@ -15,6 +15,7 @@ import hashlib
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -32,34 +33,29 @@ from .channels import (
     sampled_trotter_unitary,
 )
 from .hamiltonians import ising_chain, terms_from_text
-from .linalg import hermitian_exp, unitary_superop
+from .linalg import hermitian_exp
 from .metrics import (
+    METRICS,
     Diamond,
     DiamondNormError,
     InducedTraceHeuristic,
     JDistance,
     Metric,
-    diamond_distance,
-    diamond_distance_unitary,
-    induced_trace_distance_heuristic,
-    j_distance,
     noise_benchmarks,
 )
 from .tradeoff import (
+    TradeoffConstants,
     best_integer_steps,
-    decoherence_bound,
+    bound_curve,
     defect_strengths,
-    depolarizing_costs,
     distance_at_optimum,
-    jitter_costs,
     max_simulation_time,
+    noise_tradeoff,
     optimal_steps,
 )
 
 SWEEP_HEADER = ("n", "metric", "exact_distance", "bound", "benchmark", "status")
 MONTECARLO_HEADER = ("run_id", "n", "metric", "value")
-
-_METRIC_NAMES = {"j": JDistance, "diamond": Diamond, "heuristic": InducedTraceHeuristic}
 
 
 class ConfigError(ValueError):
@@ -123,6 +119,12 @@ class ExperimentConfig:
             raise ConfigError(f"master_seed must fit in 64 bits, got {self.master_seed}")
         if self.sdp_tol <= 0:
             raise ConfigError(f"sdp_tol must be > 0, got {self.sdp_tol}")
+        for metric in self.metrics:
+            if self.dim > metric.max_dim:
+                raise ConfigError(
+                    f"metric {metric.name} supports dimension <= {metric.max_dim} "
+                    f"({int(np.log2(metric.max_dim))} qubits), got dimension {self.dim}"
+                )
 
     @property
     def dim(self) -> int:
@@ -226,11 +228,9 @@ def parse_metrics(value: str) -> tuple[Metric, ...]:
     out = []
     for name in value.split(","):
         name = name.strip()
-        if name not in _METRIC_NAMES:
-            raise ConfigError(
-                f"unknown metric {name!r} (known: {', '.join(sorted(_METRIC_NAMES))})"
-            )
-        out.append(_METRIC_NAMES[name]())
+        if name not in METRICS:
+            raise ConfigError(f"unknown metric {name!r} (known: {', '.join(sorted(METRICS))})")
+        out.append(METRICS[name]())
     if not out:
         raise ConfigError("metrics must name at least one metric")
     return tuple(out)
@@ -263,13 +263,6 @@ def parse_n_grid(value: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in value.split(","))
     except ValueError:
         raise ConfigError(f"n_grid must be a comma list of integers, got {value!r}")
-
-
-def metric_name(metric: Metric) -> str:
-    for name, cls in _METRIC_NAMES.items():
-        if isinstance(metric, cls):
-            return name
-    raise TypeError(f"unknown metric {metric!r}")
 
 
 def build_config(raw: dict[str, str], **overrides) -> ExperimentConfig:
@@ -338,64 +331,44 @@ def seeded_rng(master_seed: int, *key: int) -> np.random.Generator:
 
 
 def _distance(faulty, ideal, metric: Metric, sdp_tol: float) -> tuple[float, str]:
-    """Metric dispatch returning (value, status); SDP failures are reported
-    in the status with the best upper bound as the value."""
-    if isinstance(metric, JDistance):
-        return j_distance(faulty, ideal), "ok"
-    if isinstance(metric, InducedTraceHeuristic):
-        return induced_trace_distance_heuristic(faulty, ideal, metric), "ok"
-    if isinstance(metric, Diamond):
-        try:
-            return diamond_distance(faulty, ideal, tol=sdp_tol), "ok"
-        except DiamondNormError as exc:
-            return exc.primal, exc.status
-    raise TypeError(f"unknown metric {metric!r}")
+    """(value, status); an SDP failure is reported in the status with the
+    best upper bound as the value."""
+    try:
+        return metric.distance(faulty, ideal, sdp_tol), "ok"
+    except DiamondNormError as exc:
+        return exc.primal, exc.status
 
 
-def _benchmark(metric: Metric, d: int) -> float:
-    unstabilized, stabilized = noise_benchmarks(d)
-    return unstabilized if isinstance(metric, InducedTraceHeuristic) else stabilized
+def _tradeoff(config: ExperimentConfig, strengths) -> TradeoffConstants:
+    return noise_tradeoff(config.noise, strengths, config.t, config.a, config.dim)
 
 
 def tradeoff_coefficients(config: ExperimentConfig, metric: Metric) -> tuple[float, float]:
-    """(step_cost, noise_cost) of the analytic bound for this config.
-
-    Timing jitter couples through the effective width ``a * sigma``;
-    decoherence has no per-step cost and is handled by
-    :func:`trotopt.tradeoff.decoherence_bound` instead.
-    """
-    commutator_strength, jitter_strength = defect_strengths(
-        config.terms, metric, config.sdp_tol
-    )
-    noise = config.noise
-    if isinstance(noise, (TimingJitter, AveragedTimingJitter)):
-        return jitter_costs(
-            commutator_strength, jitter_strength, config.t, config.a * noise.sigma
-        )
-    if isinstance(noise, Depolarizing):
-        return depolarizing_costs(commutator_strength, noise.p, config.t, config.dim)
-    if isinstance(noise, Decoherence):
-        return commutator_strength * config.t**2 / 2.0, 0.0
-    raise TypeError(f"unknown noise model {noise!r}")
+    """(step_cost, noise_cost) of the analytic bound for this config."""
+    c = _tradeoff(config, defect_strengths(config.terms, metric, config.sdp_tol))
+    return c.step_cost, c.noise_cost
 
 
-def _bound_value(config: ExperimentConfig, metric: Metric, n: int, costs) -> float:
-    if isinstance(config.noise, Decoherence):
-        if config.t == 0.0:
-            return 0.0
-        strength = 2.0 * costs[0] / config.t**2
-        return decoherence_bound(
-            n, config.t, config.noise.gamma, config.a, strength, config.dim
-        )
-    return costs[0] / n + costs[1] * n
+def _map_grid(point, config: ExperimentConfig, jobs: int, *args) -> list[tuple]:
+    """Rows of ``point(config, *args, index)`` over every grid index, on
+    ``jobs`` worker processes when ``jobs > 1``; rows come back in grid
+    order either way."""
+    task = partial(point, config, *args)
+    indices = range(len(config.n_grid))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(task, indices))
+    else:
+        chunks = map(task, indices)
+    return [row for chunk in chunks for row in chunk]
 
 
 # -- sweep ---------------------------------------------------------------
 
 
-def sweep_point(config: ExperimentConfig, index: int, costs: dict) -> list[tuple]:
-    """All CSV rows for one grid point; ``costs`` maps metric name to the
-    precomputed bound coefficients."""
+def sweep_point(config: ExperimentConfig, bounds: dict, index: int) -> list[tuple]:
+    """All CSV rows for one grid point; ``bounds`` maps metric name to the
+    precomputed bound constants."""
     n = config.n_grid[index]
     plan = TrotterPlan(config.terms, t=config.t, n=n, a=config.a)
     rng = seeded_rng(config.master_seed, index)
@@ -403,76 +376,55 @@ def sweep_point(config: ExperimentConfig, index: int, costs: dict) -> list[tuple
     ideal = ideal_map(plan)
     rows = []
     for metric in config.metrics:
-        name = metric_name(metric)
         value, status = _distance(faulty, ideal, metric, config.sdp_tol)
-        bound = _bound_value(config, metric, n, costs[name])
-        rows.append((n, name, value, bound, _benchmark(metric, config.dim), status))
+        bound = bound_curve(n, bounds[metric.name])
+        rows.append((n, metric.name, value, bound, metric.benchmark(config.dim), status))
     return rows
 
 
-def _sweep_task(args):
-    return sweep_point(*args)
+def _sweep(config: ExperimentConfig, bounds: dict, jobs: int) -> list[tuple]:
+    rows = _map_grid(sweep_point, config, jobs, bounds)
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return rows
 
 
 def sweep_rows(config: ExperimentConfig, jobs: int = 1) -> list[tuple]:
     """Rows of the step-number sweep, sorted by (n, metric)."""
-    costs = {
-        metric_name(metric): tradeoff_coefficients(config, metric)
+    bounds = {
+        metric.name: _tradeoff(config, defect_strengths(config.terms, metric, config.sdp_tol))
         for metric in config.metrics
     }
-    tasks = [(config, i, costs) for i in range(len(config.n_grid))]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_sweep_task, tasks))
-    else:
-        chunks = [sweep_point(*task) for task in tasks]
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
+    return _sweep(config, bounds, jobs)
 
 
 # -- Monte-Carlo runs ----------------------------------------------------
 
 
-def _unitary_distance(u, ideal_u, metric: Metric, sdp_tol: float) -> float:
-    if isinstance(metric, Diamond):
-        return diamond_distance_unitary(u, ideal_u)
-    if isinstance(metric, JDistance):
-        return j_distance(unitary_superop(u), unitary_superop(ideal_u))
-    if isinstance(metric, InducedTraceHeuristic):
-        return induced_trace_distance_heuristic(
-            unitary_superop(u), unitary_superop(ideal_u), metric
-        )
-    raise TypeError(f"unknown metric {metric!r}")
-
-
 def montecarlo_point(config: ExperimentConfig, index: int) -> list[tuple]:
-    """All rows for one grid point: every run, their mean, the averaged map."""
+    """All rows for one grid point: every run, their mean, the averaged map.
+
+    Each run is sampled once and scored under every metric.
+    """
     n = config.n_grid[index]
     sigma = config.noise.sigma
     plan = TrotterPlan(config.terms, t=config.t, n=n, a=config.a)
     total = sum(config.terms[1:], start=config.terms[0].copy())
     ideal_u = hermitian_exp(total, config.t)
     ideal = ideal_map(plan)
+    averaged = faulty_trotter(plan, AveragedTimingJitter(sigma))
+    unitaries = [
+        sampled_trotter_unitary(plan, sigma, seeded_rng(config.master_seed, run, n))
+        for run in range(config.runs)
+    ]
     rows = []
     for metric in config.metrics:
-        name = metric_name(metric)
-        values = []
-        for run in range(config.runs):
-            rng = seeded_rng(config.master_seed, run, n)
-            u = sampled_trotter_unitary(plan, sigma, rng)
-            values.append(_unitary_distance(u, ideal_u, metric, config.sdp_tol))
-        averaged = faulty_trotter(plan, AveragedTimingJitter(sigma))
+        values = [metric.unitary_distance(u, ideal_u) for u in unitaries]
         # on SDP failure the recorded value is the best upper bound
         avg_value, _ = _distance(averaged, ideal, metric, config.sdp_tol)
-        rows.extend((str(run), n, name, v) for run, v in enumerate(values))
-        rows.append(("averaged", n, name, avg_value))
-        rows.append(("mean", n, name, float(np.mean(values))))
+        rows.extend((str(run), n, metric.name, v) for run, v in enumerate(values))
+        rows.append(("averaged", n, metric.name, avg_value))
+        rows.append(("mean", n, metric.name, float(np.mean(values))))
     return rows
-
-
-def _montecarlo_task(args):
-    return montecarlo_point(*args)
 
 
 def montecarlo_rows(config: ExperimentConfig, jobs: int = 1) -> list[tuple]:
@@ -485,13 +437,7 @@ def montecarlo_rows(config: ExperimentConfig, jobs: int = 1) -> list[tuple]:
         raise ConfigError(
             "montecarlo needs sampled timing jitter noise (noise = jitter:SIGMA)"
         )
-    tasks = [(config, i) for i in range(len(config.n_grid))]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_montecarlo_task, tasks))
-    else:
-        chunks = [montecarlo_point(*task) for task in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = _map_grid(montecarlo_point, config, jobs)
 
     def run_key(run_id: str):
         return (0, int(run_id), "") if run_id.isdigit() else (1, 0, run_id)
@@ -523,24 +469,31 @@ def _format_cell(cell) -> str:
 # -- reports -------------------------------------------------------------
 
 
-def optimum_report(config: ExperimentConfig, dmax: float | None = None) -> str:
+def optimum_report(config: ExperimentConfig, dmax: float | None = None, jobs: int = 1) -> str:
     """Predicted and measured optimal step numbers, one block per metric."""
     noise = config.noise
     if not isinstance(noise, (AveragedTimingJitter, Depolarizing)):
         raise ConfigError(
             "optimum prediction needs averaged timing jitter or depolarizing noise"
         )
+    # of the two models admitted above, only averaged jitter has a width
+    sigma = config.a * getattr(noise, "sigma", 0.0)
+    strengths = {
+        metric.name: defect_strengths(config.terms, metric, config.sdp_tol)
+        for metric in config.metrics
+    }
+    bounds = {name: _tradeoff(config, s) for name, s in strengths.items()}
+    rows = _sweep(config, bounds, jobs)
     lines = [
         f"hamiltonian {config.label} (dim {config.dim}), t = {config.t:g}, a = {config.a:g}",
         f"noise {noise!r}",
     ]
     for metric in config.metrics:
-        name = metric_name(metric)
-        strengths = defect_strengths(config.terms, metric, config.sdp_tol)
-        step_cost, noise_cost = tradeoff_coefficients(config, metric)
-        lines.append(f"metric {name}:")
-        lines.append(f"  commutator_strength = {strengths[0]:.6g}")
-        lines.append(f"  jitter_strength     = {strengths[1]:.6g}")
+        commutator_strength, jitter_strength = strengths[metric.name]
+        step_cost, noise_cost = bounds[metric.name].step_cost, bounds[metric.name].noise_cost
+        lines.append(f"metric {metric.name}:")
+        lines.append(f"  commutator_strength = {commutator_strength:.6g}")
+        lines.append(f"  jitter_strength     = {jitter_strength:.6g}")
         lines.append(f"  step_cost = {step_cost:.6g}, noise_cost = {noise_cost:.6g}")
         if step_cost > 0.0 and noise_cost > 0.0:
             lines.append(f"  real optimal steps    = {optimal_steps(step_cost, noise_cost):.6g}")
@@ -550,33 +503,14 @@ def optimum_report(config: ExperimentConfig, dmax: float | None = None) -> str:
             )
         else:
             lines.append("  no finite optimum")
-        if (
-            dmax is not None
-            and isinstance(noise, AveragedTimingJitter)
-            and min(strengths) > 0.0
-            and noise.sigma > 0.0
-        ):
-            horizon = max_simulation_time(
-                dmax, strengths[0], strengths[1], config.a * noise.sigma
-            )
+        if dmax is not None and min(commutator_strength, jitter_strength) > 0.0 and sigma > 0.0:
+            horizon = max_simulation_time(dmax, commutator_strength, jitter_strength, sigma)
             lines.append(f"  max simulation time (budget {dmax:g}) = {horizon:.6g}")
-        measured_n, measured_d = measured_optimum(config, metric)
-        lines.append(f"  measured optimal steps    = {measured_n}")
-        lines.append(f"  measured minimum distance = {measured_d:.6g}")
+        # grid argmin of the exact distance; the first of equal values wins
+        n, _, value, *_ = min((r for r in rows if r[1] == metric.name), key=lambda r: r[2])
+        lines.append(f"  measured optimal steps    = {n}")
+        lines.append(f"  measured minimum distance = {value:.6g}")
     return "\n".join(lines) + "\n"
-
-
-def measured_optimum(config: ExperimentConfig, metric: Metric) -> tuple[int, float]:
-    """Grid argmin of the exact numerical distance over ``config.n_grid``."""
-    best = None
-    for index, n in enumerate(config.n_grid):
-        plan = TrotterPlan(config.terms, t=config.t, n=n, a=config.a)
-        rng = seeded_rng(config.master_seed, index)
-        faulty = faulty_trotter(plan, config.noise, rng)
-        value, _ = _distance(faulty, ideal_map(plan), metric, config.sdp_tol)
-        if best is None or value < best[1]:
-            best = (n, value)
-    return best
 
 
 def benchmark_report(dim: int, sdp_tol: float = 1e-7) -> tuple[str, bool]:
@@ -588,22 +522,19 @@ def benchmark_report(dim: int, sdp_tol: float = 1e-7) -> tuple[str, bool]:
     unstabilized, stabilized = noise_benchmarks(dim)
     ident = np.eye(dim * dim, dtype=complex)
     noisy = complete_noise(dim)
-    live_j = j_distance(ident, noisy)
-    live_diamond = diamond_distance(ident, noisy, tol=sdp_tol)
-    live_heuristic = induced_trace_distance_heuristic(ident, noisy)
-    checks = (
-        ("J-distance", live_j, stabilized, 1e-10),
-        ("diamond distance", live_diamond, stabilized, max(1e-6, 10.0 * sdp_tol)),
-        ("heuristic value", live_heuristic, unstabilized, 1e-4),
-    )
     lines = [
         f"dimension {dim}",
         f"  unstabilized benchmark 2 - 2/d   = {unstabilized:.12g}",
         f"  stabilized benchmark   2 - 2/d^2 = {stabilized:.12g}",
     ]
     all_ok = True
-    for label, live, want, tol in checks:
-        delta = abs(live - want)
+    for label, metric, tol in (
+        ("J-distance", JDistance(), 1e-10),
+        ("diamond distance", Diamond(), max(1e-6, 10.0 * sdp_tol)),
+        ("heuristic value", InducedTraceHeuristic(), 1e-4),
+    ):
+        live = metric.distance(ident, noisy, sdp_tol)
+        delta = abs(live - metric.benchmark(dim))
         ok = delta <= tol
         all_ok = all_ok and ok
         lines.append(

@@ -19,24 +19,11 @@ import numpy as np
 HERMITIAN_ATOL = 1e-12
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices (thin wrapper over ``np.kron``)."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m
-
-
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    """True if ``m`` is square and equal to its conjugate transpose within ``atol``."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
 
 
 def require_hermitian(m: np.ndarray, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.ndarray:

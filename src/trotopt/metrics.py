@@ -15,6 +15,7 @@ a lower bound.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -26,25 +27,72 @@ from .linalg import (
     partial_trace,
     super_to_choi,
     trace_norm,
+    unitary_superop,
     unvec,
     vec,
 )
 
 
+class _ChannelMetric:
+    """Everything the harness asks of a metric, dispatched by the metric itself.
+
+    ``name`` is the config spelling; ``benchmark(d)`` the distance of complete
+    noise from a unitary channel; ``norm`` applies to Hermiticity-preserving
+    maps, ``distance`` to a pair of channels and ``unitary_distance`` to a
+    pair of unitaries.  Channel distances cannot exceed 2, so the diamond and
+    heuristic distances clip values above that; norms are never clipped.
+    ``max_dim`` is the largest system dimension the metric can evaluate.
+    The methods look the module-level functions up at call time, so wrapping
+    those wraps every path.
+    """
+
+    max_dim = math.inf
+
+    def benchmark(self, d: int) -> float:
+        return noise_benchmarks(d)[1]
+
+
 @dataclass(frozen=True)
-class Diamond:
+class Diamond(_ChannelMetric):
     """Diamond (completely bounded trace) distance."""
 
+    name = "diamond"
+
+    @property
+    def max_dim(self) -> int:
+        return DIAMOND_MAX_DIM
+
+    def norm(self, phi, sdp_tol: float = 1e-7) -> float:
+        return diamond_norm_hp(phi, tol=sdp_tol)
+
+    def distance(self, ta, tb, sdp_tol: float = 1e-7) -> float:
+        return diamond_distance(ta, tb, tol=sdp_tol)
+
+    def unitary_distance(self, u, v) -> float:
+        return diamond_distance_unitary(u, v)
+
 
 @dataclass(frozen=True)
-class JDistance:
+class JDistance(_ChannelMetric):
     """Trace distance between the Choi states of the two channels."""
 
+    name = "j"
+
+    def norm(self, phi, sdp_tol: float = 1e-7) -> float:
+        return j_norm(phi)
+
+    def distance(self, ta, tb, sdp_tol: float = 1e-7) -> float:
+        return j_distance(ta, tb)
+
+    def unitary_distance(self, u, v) -> float:
+        return j_distance(unitary_superop(u), unitary_superop(v))
+
 
 @dataclass(frozen=True)
-class InducedTraceHeuristic:
+class InducedTraceHeuristic(_ChannelMetric):
     """Multistart lower-bound search for the unstabilized induced trace norm."""
 
+    name = "heuristic"
     restarts: int = 64
     seed: int = 0
 
@@ -52,8 +100,21 @@ class InducedTraceHeuristic:
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
+    def benchmark(self, d: int) -> float:
+        return noise_benchmarks(d)[0]
+
+    def norm(self, phi, sdp_tol: float = 1e-7) -> float:
+        return induced_trace_norm_heuristic(phi, self)
+
+    def distance(self, ta, tb, sdp_tol: float = 1e-7) -> float:
+        return induced_trace_distance_heuristic(ta, tb, self)
+
+    def unitary_distance(self, u, v) -> float:
+        return self.distance(unitary_superop(u), unitary_superop(v))
+
 
 Metric = Diamond | JDistance | InducedTraceHeuristic
+METRICS = {cls.name: cls for cls in (JDistance, Diamond, InducedTraceHeuristic)}
 
 
 class DiamondNormError(RuntimeError):
@@ -263,6 +324,12 @@ def diamond_distance_unitary(u: np.ndarray, v: np.ndarray) -> float:
     return min(2.0 * radius, 2.0)
 
 
+# The SDP below has 2 d^4 + 2 real parameters and a 2 d^2 block; at d = 8 its
+# dense Newton system and block sandwiches need several GB, so the diamond
+# metric stops at two qubits.
+DIAMOND_MAX_DIM = 4
+
+
 def _diamond_sdp(j_u: np.ndarray, d: int, tol: float, max_iter: int) -> sdp.SdpSolution:
     """Watrous dual: min (|Tr_out Y0|_inf + |Tr_out Y1|_inf) / 2 over the
     block PSD constraint [[Y0, -J], [-J^dag, Y1]] >= 0."""
@@ -373,7 +440,7 @@ def induced_trace_norm_heuristic(
             pulled = _hermitize(unvec(phi_adj @ vec(observable)))
             psi = np.linalg.eigh(pulled)[1][:, -1]
         best = max(best, val)
-    return min(best, 2.0)
+    return best
 
 
 def induced_trace_distance_heuristic(
@@ -381,19 +448,12 @@ def induced_trace_distance_heuristic(
     tb: np.ndarray,
     cfg: InducedTraceHeuristic = InducedTraceHeuristic(),
 ) -> float:
-    """Lower-bound search for the unstabilized distance between two channels."""
+    """Lower-bound search for the unstabilized distance between two channels.
+
+    Channel distances cannot exceed 2, so a search value above that is clipped.
+    """
     _check_pair(ta, tb)
-    return induced_trace_norm_heuristic(
+    val = induced_trace_norm_heuristic(
         np.asarray(ta, dtype=complex) - np.asarray(tb, dtype=complex), cfg
     )
-
-
-def channel_norm(phi: np.ndarray, metric: Metric, sdp_tol: float = 1e-7) -> float:
-    """Norm of a Hermiticity-preserving map under the chosen channel metric."""
-    if isinstance(metric, JDistance):
-        return j_norm(phi)
-    if isinstance(metric, Diamond):
-        return diamond_norm_hp(phi, tol=sdp_tol)
-    if isinstance(metric, InducedTraceHeuristic):
-        return induced_trace_norm_heuristic(phi, metric)
-    raise TypeError(f"unknown metric {metric!r}")
+    return min(val, 2.0)

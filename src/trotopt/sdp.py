@@ -102,21 +102,9 @@ def _basis_matrix(dim: int, local: int) -> np.ndarray:
     return m
 
 
-def hermitian_from_params(values: np.ndarray, dim: int) -> np.ndarray:
-    """Assemble the Hermitian matrix described by a parameter slice."""
-    values = np.asarray(values, dtype=float)
-    m = np.zeros((dim, dim), dtype=complex)
-    m[np.diag_indices(dim)] = values[:dim]
-    for pair, (a, b) in enumerate(_pairs(dim)):
-        re = values[dim + 2 * pair]
-        im = values[dim + 2 * pair + 1]
-        m[a, b] = re + 1j * im
-        m[b, a] = re - 1j * im
-    return m
-
-
 def params_from_hermitian(m: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`hermitian_from_params` (imaginary diagonal discarded)."""
+    """Parameter slice whose basis expansion is the Hermitian ``m``
+    (imaginary diagonal discarded)."""
     dim = m.shape[0]
     values = np.empty(dim * dim)
     values[:dim] = np.diag(m).real
@@ -136,7 +124,6 @@ class SdpProblem:
 
     def __init__(self):
         self.n_params = 0
-        self._vars: list[HermitianVar | ScalarVar] = []
         self._blocks: list[dict] = []
         self._objective: dict[int, float] = {}
 
@@ -147,13 +134,11 @@ class SdpProblem:
             raise ValueError(f"variable dimension must be >= 1, got {dim}")
         var = HermitianVar(start=self.n_params, dim=dim)
         self.n_params += var.n_params
-        self._vars.append(var)
         return var
 
     def add_scalar(self) -> ScalarVar:
         var = ScalarVar(index=self.n_params)
         self.n_params += 1
-        self._vars.append(var)
         return var
 
     # -- blocks and placements --------------------------------------------
@@ -245,22 +230,6 @@ class SdpProblem:
             )
             out.append((n, blk["f0"], a))
         return out
-
-    def block_matrices(self, x: np.ndarray) -> list[np.ndarray]:
-        """Evaluate every constraint block at parameter vector ``x``."""
-        out = []
-        for n, f0, a in self.compiled_blocks():
-            s = f0 + (a.T @ np.asarray(x, dtype=float)).reshape(n, n, order="F")
-            out.append(0.5 * (s + s.conj().T))
-        return out
-
-    def hermitian_value(self, x: np.ndarray, var: HermitianVar) -> np.ndarray:
-        return hermitian_from_params(
-            np.asarray(x)[var.start : var.start + var.n_params], var.dim
-        )
-
-    def scalar_value(self, x: np.ndarray, var: ScalarVar) -> float:
-        return float(np.asarray(x)[var.index])
 
 
 def _unvec(v: np.ndarray, n: int) -> np.ndarray:

@@ -4,7 +4,7 @@ With per-step noise the distance to the ideal evolution splits into a
 splitting error that shrinks with the step number and an accumulated noise
 cost that grows with it:
 
-    bound(n) = step_cost / n**(order - 1) + noise_cost * n
+    bound(n) = step_cost / n + noise_cost * n + floor
 
 The coefficients come from channel norms of the second-order defect maps:
 ``commutator_strength`` measures how badly the terms fail to commute and
@@ -14,9 +14,11 @@ over total time ``t`` with width ``sigma``,
     step_cost = commutator_strength * t**2 / 2,   noise_cost = jitter_strength * sigma**2
 
 and for per-step depolarizing at rate ``p`` the noise cost is the full
-depolarizing distance ``p * (2 - 2/dim**2)`` instead.  Everything in this
-module is closed-form arithmetic on those coefficients plus the channel-norm
-evaluations; nothing here simulates circuits.
+depolarizing distance ``p * (2 - 2/dim**2)`` instead.  End-of-run
+decoherence pays that distance once, as the ``floor``, whatever the step
+count.  Everything in this module is closed-form arithmetic on those
+coefficients plus the channel-norm evaluations; nothing here simulates
+circuits.
 """
 
 from __future__ import annotations
@@ -26,41 +28,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import commutator_defect_map, jitter_defect_map
-from .metrics import JDistance, Metric, channel_norm
-
-ORDER_SCAN_RANGE = range(2, 9)
+from .channels import (
+    AveragedTimingJitter,
+    Decoherence,
+    Depolarizing,
+    NoiseModel,
+    TimingJitter,
+    commutator_defect_map,
+    jitter_defect_map,
+)
+from .metrics import JDistance, Metric
 
 
 @dataclass(frozen=True)
 class TradeoffConstants:
-    """Coefficients of one tradeoff curve.
-
-    ``step_cost`` multiplies ``n**(1 - order)``, ``noise_cost`` multiplies
-    ``n``.  The defect strengths, metric and dimension they were derived
-    from ride along for reporting; they are optional because the curve
-    itself only needs the two costs.
-    """
+    """Coefficients of one tradeoff curve: ``step_cost`` multiplies ``1/n``,
+    ``noise_cost`` multiplies ``n`` and ``floor`` does not depend on ``n``."""
 
     step_cost: float
     noise_cost: float
-    order: int = 2
-    commutator_strength: float | None = None
-    jitter_strength: float | None = None
-    metric: Metric | None = None
-    dim: int | None = None
+    floor: float = 0.0
 
     def __post_init__(self):
-        if self.step_cost < 0.0:
-            raise ValueError(f"step_cost must be >= 0, got {self.step_cost}")
-        if self.noise_cost < 0.0:
-            raise ValueError(f"noise_cost must be >= 0, got {self.noise_cost}")
-        if self.order < 2:
-            raise ValueError(f"order must be >= 2, got {self.order}")
-        for name in ("commutator_strength", "jitter_strength"):
-            val = getattr(self, name)
-            if val is not None and val < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {val}")
+        for name in ("step_cost", "noise_cost", "floor"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def defect_strengths(
@@ -76,56 +68,23 @@ def defect_strengths(
     if not terms:
         raise ValueError("at least one Hamiltonian term is required")
     return (
-        channel_norm(commutator_defect_map(terms), metric, sdp_tol),
-        channel_norm(jitter_defect_map(terms), metric, sdp_tol),
+        metric.norm(commutator_defect_map(terms), sdp_tol),
+        metric.norm(jitter_defect_map(terms), sdp_tol),
     )
 
 
-def pairwise_commutator_strengths(
-    terms, metric: Metric = JDistance(), sdp_tol: float = 1e-7
-) -> list[float]:
-    """Norm of each pairwise-commutator defect separately.
-
-    Their sum upper-bounds ``commutator_strength`` by the triangle
-    inequality; there are at most ``k*(k-1)/2`` of them.
-    """
-    terms = list(terms)
-    out = []
-    for j in range(len(terms)):
-        for l in range(j + 1, len(terms)):
-            out.append(
-                channel_norm(commutator_defect_map([terms[j], terms[l]]), metric, sdp_tol)
-            )
-    return out
-
-
-def _check_costs(step_cost: float, noise_cost: float, order: int):
+def optimal_steps(step_cost: float, noise_cost: float) -> float:
+    """Real-valued minimizer ``sqrt(step_cost / noise_cost)`` of the tradeoff curve."""
     if step_cost <= 0.0:
         raise ValueError(f"step_cost must be > 0, got {step_cost}")
     if noise_cost <= 0.0:
         raise ValueError(f"noise_cost must be > 0, got {noise_cost}")
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
+    return (step_cost / noise_cost) ** 0.5
 
 
-def optimal_steps(step_cost: float, noise_cost: float, order: int = 2) -> float:
-    """Real-valued minimizer of the tradeoff curve.
-
-    Equals ``(step_cost * (order - 1) / noise_cost)**(1 / order)``; for
-    order 2 this is ``sqrt(step_cost / noise_cost)``.
-    """
-    _check_costs(step_cost, noise_cost, order)
-    return (step_cost * (order - 1) / noise_cost) ** (1.0 / order)
-
-
-def distance_at_optimum(step_cost: float, noise_cost: float, order: int = 2) -> float:
-    """Bound value at the real-valued optimal step number.
-
-    For order 2 this is ``2 * sqrt(step_cost * noise_cost)``.
-    """
-    _check_costs(step_cost, noise_cost, order)
-    n = optimal_steps(step_cost, noise_cost, order)
-    return noise_cost * n * order / (order - 1)
+def distance_at_optimum(step_cost: float, noise_cost: float) -> float:
+    """Bound value ``2 * sqrt(step_cost * noise_cost)`` at the real-valued optimum."""
+    return 2.0 * noise_cost * optimal_steps(step_cost, noise_cost)
 
 
 def best_integer_steps(step_cost: float, noise_cost: float) -> int | None:
@@ -190,63 +149,23 @@ def max_simulation_time(
     return distance_budget / (sigma * math.sqrt(2.0 * commutator_strength * jitter_strength))
 
 
-def _check_depolarizing(p: float, t: float, dim: int):
+def depolarizing_costs(
+    commutator_strength: float, p: float, t: float, dim: int
+) -> tuple[float, float]:
+    """Tradeoff coefficients for per-step depolarizing noise.
+
+    The surviving fraction ``1 - p`` discounts the splitting error; each
+    step pays the full depolarizing distance ``p * (2 - 2/dim**2)``.
+    """
+    if commutator_strength < 0.0:
+        raise ValueError(f"commutator_strength must be >= 0, got {commutator_strength}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing rate must be in [0, 1], got {p}")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     if dim < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
-
-
-def depolarizing_costs(
-    commutator_strength: float, p: float, t: float, dim: int, large_d: bool = False
-) -> tuple[float, float]:
-    """Tradeoff coefficients for per-step depolarizing noise.
-
-    The surviving fraction ``1 - p`` discounts the splitting error; each
-    step pays the full depolarizing distance ``p * (2 - 2/dim**2)``, or
-    ``2 * p`` with ``large_d`` set, which drops the ``1/dim**2`` correction.
-    """
-    if commutator_strength < 0.0:
-        raise ValueError(f"commutator_strength must be >= 0, got {commutator_strength}")
-    _check_depolarizing(p, t, dim)
-    weight = 2.0 if large_d else 2.0 - 2.0 / (dim * dim)
-    return (1.0 - p) * commutator_strength * t * t / 2.0, p * weight
-
-
-def depolarizing_optimal_steps(
-    commutator_strength: float, p: float, t: float, dim: int, large_d: bool = False
-) -> float:
-    """Real-valued optimal step count under per-step depolarizing noise.
-
-    Degenerate rates get sentinels: ``p = 0`` returns ``inf`` (no finite
-    optimum) and ``p = 1`` returns ``0.0`` (the channel is complete noise
-    whatever the step count).
-    """
-    step_cost, noise_cost = depolarizing_costs(commutator_strength, p, t, dim, large_d)
-    if p == 0.0 or noise_cost == 0.0:
-        return math.inf
-    if p == 1.0 or step_cost == 0.0:
-        return 0.0
-    return optimal_steps(step_cost, noise_cost)
-
-
-def depolarizing_distance_at_optimum(
-    commutator_strength: float, p: float, t: float, dim: int, large_d: bool = False
-) -> float:
-    """Bound value at the depolarizing optimum; ``2*t*sqrt(A*p*(1-p))`` for
-    large ``dim`` with ``A`` the commutator strength.
-
-    Sentinels at degenerate rates: ``p = 0`` gives 0 (splitting error alone,
-    driven to zero), ``p = 1`` gives the single-step noise cost.
-    """
-    step_cost, noise_cost = depolarizing_costs(commutator_strength, p, t, dim, large_d)
-    if p == 0.0 or noise_cost == 0.0:
-        return 0.0
-    if p == 1.0 or step_cost == 0.0:
-        return noise_cost
-    return distance_at_optimum(step_cost, noise_cost)
+    return (1.0 - p) * commutator_strength * t * t / 2.0, p * (2.0 - 2.0 / (dim * dim))
 
 
 def bound_curve(n, constants: TradeoffConstants):
@@ -257,62 +176,34 @@ def bound_curve(n, constants: TradeoffConstants):
     n = np.asarray(n, dtype=float)
     if np.any(n < 1):
         raise ValueError("step count must be >= 1")
-    vals = constants.step_cost / n ** (constants.order - 1) + constants.noise_cost * n
+    vals = constants.step_cost / n + constants.noise_cost * n + constants.floor
     return float(vals) if vals.ndim == 0 else vals
 
 
-def decoherence_bound(
-    n, t: float, gamma: float, a: float, commutator_strength: float, dim: int
-) -> float:
-    """Bound for end-of-run decoherence at rate ``gamma`` with speedup ``a``.
+def noise_tradeoff(
+    noise: NoiseModel, strengths: tuple[float, float], t: float, a: float, dim: int
+) -> TradeoffConstants:
+    """Bound constants for one noise model from the two defect strengths.
 
-    The wall-clock exposure is ``t / a``, giving an error weight
-    ``p = 1 - exp(-gamma * t / a)`` that does not depend on the step count:
-    the bound decreases in ``n`` forever, so there is no finite optimum, and
-    running faster (larger ``a``) always helps.
+    Timing jitter couples through the effective width ``a * sigma``.
+    Decoherence pays the depolarizing distance of its end-of-run factor
+    ``p = 1 - exp(-gamma * t / a)`` once: the bound then decreases in ``n``
+    forever, so there is no finite optimum, and running faster (larger
+    ``a``) always helps.
     """
-    if t <= 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
     if a <= 0.0:
         raise ValueError(f"a must be > 0, got {a}")
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if commutator_strength < 0.0:
-        raise ValueError(f"commutator_strength must be >= 0, got {commutator_strength}")
-    if dim < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
-    n = np.asarray(n, dtype=float)
-    if np.any(n < 1):
-        raise ValueError("step count must be >= 1")
-    p = 1.0 - math.exp(-gamma * t / a)
-    vals = (1.0 - p) * commutator_strength * t * t / (2.0 * n) + p * (
-        2.0 - 2.0 / (dim * dim)
-    )
-    return float(vals) if vals.ndim == 0 else vals
-
-
-def best_order(step_cost_of, noise_cost_of, orders=ORDER_SCAN_RANGE):
-    """Scan over splitting orders with caller-supplied cost functions.
-
-    ``step_cost_of(order)`` and ``noise_cost_of(order)`` must return the two
-    coefficients for that order; the scan returns
-    ``(order, real-valued steps, bound at optimum)`` for the order with the
-    smallest optimal bound.  Building the higher-order formulas themselves
-    is up to the caller.
-    """
-    orders = list(orders)
-    if not orders:
-        raise ValueError("at least one order is required")
-    best = None
-    for order in orders:
-        if order < 2:
-            raise ValueError(f"order must be >= 2, got {order}")
-        step_cost = step_cost_of(order)
-        noise_cost = noise_cost_of(order)
-        dist = distance_at_optimum(step_cost, noise_cost, order)
-        if best is None or dist < best[2]:
-            best = (order, optimal_steps(step_cost, noise_cost, order), dist)
-    return best
+    commutator_strength, jitter_strength = strengths
+    if isinstance(noise, (TimingJitter, AveragedTimingJitter)):
+        costs = jitter_costs(commutator_strength, jitter_strength, t, a * noise.sigma)
+        return TradeoffConstants(*costs)
+    if isinstance(noise, Depolarizing):
+        return TradeoffConstants(*depolarizing_costs(commutator_strength, noise.p, t, dim))
+    if isinstance(noise, Decoherence):
+        p = 1.0 - math.exp(-noise.gamma * t / a)
+        step_cost, floor = depolarizing_costs(commutator_strength, p, t, dim)
+        return TradeoffConstants(step_cost, 0.0, floor)
+    raise TypeError(f"unknown noise model {noise!r}")
 
 
 def jitter_tradeoff(
@@ -323,16 +214,9 @@ def jitter_tradeoff(
     sdp_tol: float = 1e-7,
 ) -> TradeoffConstants:
     """Full tradeoff coefficients for timing jitter on the given terms."""
+    terms = list(terms)
     strengths = defect_strengths(terms, metric, sdp_tol)
-    step_cost, noise_cost = jitter_costs(strengths[0], strengths[1], t, sigma)
-    return TradeoffConstants(
-        step_cost=step_cost,
-        noise_cost=noise_cost,
-        commutator_strength=strengths[0],
-        jitter_strength=strengths[1],
-        metric=metric,
-        dim=np.asarray(terms[0]).shape[0],
-    )
+    return noise_tradeoff(AveragedTimingJitter(sigma), strengths, t, 1.0, len(terms[0]))
 
 
 def depolarizing_tradeoff(
@@ -340,19 +224,9 @@ def depolarizing_tradeoff(
     p: float,
     t: float,
     metric: Metric = JDistance(),
-    large_d: bool = False,
     sdp_tol: float = 1e-7,
 ) -> TradeoffConstants:
     """Full tradeoff coefficients for per-step depolarizing noise."""
     terms = list(terms)
     strengths = defect_strengths(terms, metric, sdp_tol)
-    dim = np.asarray(terms[0]).shape[0]
-    step_cost, noise_cost = depolarizing_costs(strengths[0], p, t, dim, large_d)
-    return TradeoffConstants(
-        step_cost=step_cost,
-        noise_cost=noise_cost,
-        commutator_strength=strengths[0],
-        jitter_strength=strengths[1],
-        metric=metric,
-        dim=dim,
-    )
+    return noise_tradeoff(Depolarizing(p), strengths, t, 1.0, len(terms[0]))

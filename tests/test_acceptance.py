@@ -308,8 +308,19 @@ def test_10_deterministic_csv_output(tmp_path):
         "n_grid = 1,2,3\nmetrics = diamond\nruns = 5\nseed = 11\n",
         encoding="utf-8",
     )
+    optimum_cfg = tmp_path / "optimum.txt"
+    optimum_cfg.write_text(
+        "hamiltonian = ising:2\nt = 0.1\nnoise = avg-jitter:0.01\n"
+        "n_grid = range:4:9\nmetrics = j,heuristic\nseed = 5\n",
+        encoding="utf-8",
+    )
+    commands = (
+        ("sweep", "sweep", sweep_cfg),
+        ("mc", "montecarlo", mc_cfg),
+        ("optimum", "optimum", optimum_cfg),
+    )
     outputs = {}
-    for name, sub, cfg in (("sweep", "sweep", sweep_cfg), ("mc", "montecarlo", mc_cfg)):
+    for name, sub, cfg in commands:
         for run, jobs in (("first", None), ("again", None), ("parallel", "2")):
             out = tmp_path / f"{name}_{run}.csv"
             argv = [sub, "--config", str(cfg), "--out", str(out)]
@@ -319,7 +330,7 @@ def test_10_deterministic_csv_output(tmp_path):
             outputs[(name, run)] = out.read_bytes()
     same = all(
         outputs[(name, "first")] == outputs[(name, run)]
-        for name in ("sweep", "mc")
+        for name, _, _ in commands
         for run in ("again", "parallel")
     )
     elapsed = time.perf_counter() - start

@@ -16,15 +16,14 @@ from trotopt.channels import (
     TimingJitter,
     TrotterPlan,
     averaged_jitter_superop,
-    averaged_step_error_expansion,
+    commutator_defect_map,
     complete_noise,
     depolarizing_superop,
     evolution_superop,
     faulty_trotter,
     ideal_map,
     jitter_deltas,
-    rescale_time_energy,
-    sampled_jitter_superop,
+    jitter_defect_map,
     sampled_trotter_unitary,
     single_step_error_expansion,
     trotter_ideal,
@@ -42,6 +41,14 @@ def qubit_plan(t=0.4, n=2, a=1.0):
 
 def ising_plan(t=0.1, n=5, a=1.0):
     return TrotterPlan(ising_chain(2), t=t, n=n, a=a)
+
+
+def averaged_expansion(plan, sigma):
+    """Closed-form Gaussian average of ``single_step_error_expansion``: the
+    splitting defect at ``tau^2 / 2`` and the jitter defect at ``sigma^2``."""
+    return -0.5 * plan.tau**2 * commutator_defect_map(plan.terms) + sigma**2 * jitter_defect_map(
+        plan.terms
+    )
 
 
 def j_dist(ta, tb):
@@ -186,12 +193,14 @@ class TestAveragedJitter:
 
 class TestSampledJitter:
     def test_zero_width_is_identity(self):
-        rng = np.random.default_rng(1)
-        np.testing.assert_allclose(sampled_jitter_superop(SX, 0.0, rng), np.eye(4), atol=1e-12)
+        # zero-width jitter leaves every gate as planned: the noiseless circuit
+        plan = qubit_plan(t=0.6, n=3)
+        u = sampled_trotter_unitary(plan, 0.0, np.random.default_rng(1))
+        np.testing.assert_allclose(linalg.unitary_superop(u), trotter_ideal(plan), atol=1e-12)
 
     def test_preserves_purity(self):
         rng = np.random.default_rng(2)
-        t = sampled_jitter_superop(SZ + SX, 0.8, rng)
+        t = linalg.unitary_superop(sampled_trotter_unitary(qubit_plan(t=0.6, n=3), 0.8, rng))
         for _ in range(5):
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             v /= np.linalg.norm(v)
@@ -221,7 +230,7 @@ class TestIdealAndTrotter:
     def test_ideal_map_scale_invariant(self):
         plan = ising_plan()
         np.testing.assert_allclose(
-            ideal_map(plan), ideal_map(rescale_time_energy(plan, 2.0)), atol=1e-12
+            ideal_map(plan), ideal_map(ising_plan(a=2.0)), atol=1e-12
         )
 
     def test_commuting_terms_split_exactly(self):
@@ -296,7 +305,7 @@ class TestFaultyTrotter:
     @pytest.mark.parametrize(
         "noise",
         [
-            TimingJitter(0.08, seed=5),
+            TimingJitter(0.08),
             AveragedTimingJitter(0.08),
             Depolarizing(0.02),
             Decoherence(0.1),
@@ -339,35 +348,40 @@ class TestFaultyTrotter:
 
 class TestRescaling:
     def test_identity_rescale(self):
+        # a rescales energy and time together, so the noiseless maps and the
+        # plan's time, steps and terms do not depend on it
         plan = qubit_plan()
-        assert rescale_time_energy(plan, 1.0) is plan
-        rescaled = rescale_time_energy(plan, 2.5)
-        assert rescaled.a == 2.5
-        assert rescaled.t == plan.t and rescaled.n == plan.n
-        for old, new in zip(plan.terms, rescaled.terms):
-            np.testing.assert_array_equal(old, new)
+        for a in (1.0, 2.5):
+            rescaled = qubit_plan(a=a)
+            assert rescaled.a == a
+            assert rescaled.t == plan.t and rescaled.n == plan.n
+            for old, new in zip(plan.terms, rescaled.terms):
+                np.testing.assert_array_equal(old, new)
+            np.testing.assert_allclose(trotter_ideal(rescaled), trotter_ideal(plan), atol=1e-12)
+            np.testing.assert_allclose(ideal_map(rescaled), ideal_map(plan), atol=1e-12)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            rescale_time_energy(qubit_plan(), -2.0)
+        for a in (0.0, -2.0):
+            with pytest.raises(ValueError, match="a must be > 0"):
+                qubit_plan(a=a)
 
     def test_depol_invariant_under_rescaling(self):
         plan = ising_plan(n=4)
         noise = Depolarizing(0.05)
         np.testing.assert_allclose(
             faulty_trotter(plan, noise),
-            faulty_trotter(rescale_time_energy(plan, 3.0), noise),
+            faulty_trotter(ising_plan(n=4, a=3.0), noise),
             atol=1e-12,
         )
 
     def test_jitter_couples_through_a_sigma(self):
         plan = qubit_plan(t=0.8, n=4)
         sigma = 0.05
-        fast = faulty_trotter(rescale_time_energy(plan, 2.0), AveragedTimingJitter(sigma))
+        fast = faulty_trotter(qubit_plan(t=0.8, n=4, a=2.0), AveragedTimingJitter(sigma))
         slow = faulty_trotter(plan, AveragedTimingJitter(2.0 * sigma))
         np.testing.assert_allclose(fast, slow, atol=1e-12)
         u_fast = sampled_trotter_unitary(
-            rescale_time_energy(plan, 2.0), sigma, np.random.default_rng(3)
+            qubit_plan(t=0.8, n=4, a=2.0), sigma, np.random.default_rng(3)
         )
         u_slow = sampled_trotter_unitary(plan, 2.0 * sigma, np.random.default_rng(3))
         np.testing.assert_allclose(u_fast, u_slow, atol=1e-12)
@@ -375,7 +389,7 @@ class TestRescaling:
     def test_decoherence_sees_wall_clock_time(self):
         plan = qubit_plan(t=2.0, n=2)
         gamma = 0.4
-        sped_up = faulty_trotter(rescale_time_energy(plan, 4.0), Decoherence(gamma))
+        sped_up = faulty_trotter(qubit_plan(t=2.0, n=2, a=4.0), Decoherence(gamma))
         equivalent_p = 1.0 - np.exp(-gamma * plan.t / 4.0)
         np.testing.assert_allclose(
             sped_up, depolarizing_superop(equivalent_p, 2) @ trotter_ideal(plan), atol=1e-12
@@ -458,14 +472,14 @@ class TestErrorExpansion:
         se = np.sqrt(
             samples.real.var(axis=0, ddof=1) + samples.imag.var(axis=0, ddof=1)
         ).reshape(e0.shape) / np.sqrt(n_samples)
-        closed = averaged_step_error_expansion(plan, sigma)
+        closed = averaged_expansion(plan, sigma)
         assert np.all(np.abs(mean - closed) <= 4.0 * se + 1e-12)
 
     def test_averaged_commuting_zero_sigma(self):
         h1 = np.kron(SZ, np.eye(2))
         h2 = np.kron(np.eye(2), SZ)
         plan = TrotterPlan((h1, h2), t=0.4, n=2)
-        assert np.abs(averaged_step_error_expansion(plan, 0.0)).max() <= 1e-14
+        assert np.abs(averaged_expansion(plan, 0.0)).max() <= 1e-14
 
     def test_averaged_single_qubit_by_hand(self):
         plan = TrotterPlan((SZ, SX), t=0.3, n=2)
@@ -477,15 +491,22 @@ class TestErrorExpansion:
         hand = -0.5 * tau**2 * (np.kron(comm.conj(), eye) + np.kron(eye, comm))
         # both generators square to the identity
         hand += sigma**2 * (2.0 * np.eye(4) - np.kron(SZ.conj(), SZ) - np.kron(SX.conj(), SX))
-        np.testing.assert_allclose(averaged_step_error_expansion(plan, sigma), hand, atol=1e-13)
+        np.testing.assert_allclose(averaged_expansion(plan, sigma), hand, atol=1e-13)
 
     def test_averaged_is_even_in_sigma(self):
+        # flipping every offset flips only the linear part and the rest is
+        # exactly quadratic, so a zero-mean Gaussian average sees sigma^2 alone
         plan = TrotterPlan(ising_chain(2), t=0.2, n=3)
-        np.testing.assert_allclose(
-            averaged_step_error_expansion(plan, 0.04),
-            averaged_step_error_expansion(plan, -0.04),
-            atol=1e-15,
-        )
+        z = np.random.default_rng(5).standard_normal(len(plan.terms))
+        e0 = single_step_error_expansion(plan, np.zeros(len(plan.terms)))
+
+        def even_part(sigma):
+            flipped = single_step_error_expansion(plan, -sigma * z)
+            return 0.5 * (single_step_error_expansion(plan, sigma * z) + flipped) - e0
+
+        np.testing.assert_allclose(even_part(0.08), 4.0 * even_part(0.04), atol=1e-15)
+        np.testing.assert_allclose(even_part(-0.04), even_part(0.04), atol=1e-15)
+        assert np.abs(even_part(0.04)).max() > 1e-4
 
     def test_offset_count_validated(self):
         with pytest.raises(ValueError, match="offsets"):

@@ -14,7 +14,6 @@ from trotopt.experiments import (
     config_hash,
     default_n_grid,
     format_csv,
-    measured_optimum,
     montecarlo_rows,
     optimum_report,
     parse_config_text,
@@ -176,6 +175,12 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match=">= 1"):
             small_config(n_grid=(0, 1))
 
+    def test_metric_dimension_checked_at_construction(self):
+        three_qubits = tuple(ising_chain(3))
+        with pytest.raises(ConfigError, match="diamond supports dimension <= 4"):
+            small_config(terms=three_qubits, metrics=(JDistance(), Diamond()))
+        assert small_config(terms=three_qubits, metrics=(JDistance(),)).dim == 8
+
 
 class TestSeedsAndHash:
     def test_rng_reproducible_per_key(self):
@@ -227,6 +232,12 @@ class TestSweep:
         config = small_config(n_grid=(1, 2, 4, 8))
         assert sweep_rows(config, jobs=2) == sweep_rows(config, jobs=1)
 
+    def test_heuristic_bound_dominates(self):
+        # the defect-map norms behind the bound are not clipped at 2
+        config = small_config(metrics=(InducedTraceHeuristic(restarts=8),), n_grid=(1, 4, 16))
+        for row in sweep_rows(config):
+            assert row[2] <= row[3]
+
 
 class TestMonteCarlo:
     def test_single_run_mean_is_that_run(self):
@@ -276,6 +287,15 @@ class TestMonteCarlo:
         strict = sum(averaged[n] <= means[n] for n in averaged)
         assert slacked == len(averaged)
         assert strict >= len(averaged) // 2
+
+    def test_metric_set_leaves_values_alone(self):
+        # every run is sampled once and scored under each metric, so adding
+        # a metric changes no other metric's rows
+        base = dict(noise=TimingJitter(0.03), runs=4, n_grid=(5,))
+        both = montecarlo_rows(small_config(metrics=(JDistance(), Diamond()), **base))
+        for metric in (JDistance(), Diamond()):
+            alone = montecarlo_rows(small_config(metrics=(metric,), **base))
+            assert [r for r in both if r[2] == metric.name] == alone
 
     def test_requires_sampled_jitter(self):
         with pytest.raises(ConfigError, match="sampled timing jitter"):
@@ -332,10 +352,21 @@ class TestOptimumReport:
             optimum_report(small_config(noise=TimingJitter(0.01)))
 
     def test_measured_optimum_in_grid(self):
+        # the measured optimum is the argmin of the same sweep
         config = small_config(n_grid=tuple(range(1, 16)))
-        n, dist = measured_optimum(config, JDistance())
-        assert n in config.n_grid
-        assert 0.0 < dist < 2.0
+        report = optimum_report(config)
+        for name in ("j",):
+            values = [(r[2], r[0]) for r in sweep_rows(config) if r[1] == name]
+            dist, n = min(values)
+            assert n in config.n_grid
+            assert 0.0 < dist < 2.0
+            block = report.split(f"metric {name}:")[1]
+            assert f"measured optimal steps    = {n}\n" in block
+            assert f"measured minimum distance = {dist:.6g}\n" in block
+
+    def test_parallel_report_identical(self):
+        config = small_config(n_grid=(1, 2, 4, 8))
+        assert optimum_report(config, jobs=2) == optimum_report(config)
 
 
 class TestBenchmarkReport:
@@ -409,6 +440,24 @@ class TestCli:
     def test_benchmarks_dim_validated(self, capsys):
         assert cli.main(["benchmarks", "--dim", "1"]) == 2
         assert "--dim" in capsys.readouterr().err
+        assert cli.main(["benchmarks", "--dim", "5"]) == 2
+        assert "dimension <= 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "optimum"])
+    @pytest.mark.parametrize("sites", [3, 4])
+    def test_diamond_dimension_limit_exit_two(self, command, sites, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the diamond SDP must not be set up")
+
+        monkeypatch.setattr("trotopt.metrics.diamond_norm_hp", never)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            f"hamiltonian = ising:{sites}\nmetrics = j,diamond\nn_grid = 1,2\n", encoding="utf-8"
+        )
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "diamond supports dimension <= 4" in err
+        assert f"got dimension {2**sites}" in err
 
     def test_optimum_stdout(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"

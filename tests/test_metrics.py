@@ -14,6 +14,7 @@ import pytest
 from trotopt.channels import complete_noise, depolarizing_superop
 from trotopt.linalg import trace_norm, unitary_superop
 from trotopt.metrics import (
+    METRICS,
     Diamond,
     DiamondNormError,
     InducedTraceHeuristic,
@@ -448,3 +449,33 @@ class TestMetricConfigs:
         cfg = InducedTraceHeuristic(restarts=8, seed=3)
         assert cfg.restarts == 8
         assert cfg.seed == 3
+
+
+class TestMetricDispatch:
+    def test_reprs_are_stable(self):
+        # config_hash hashes these, so a changed repr moves every CSV header
+        assert [repr(cls()) for cls in METRICS.values()] == [
+            "JDistance()",
+            "Diamond()",
+            "InducedTraceHeuristic(restarts=64, seed=0)",
+        ]
+
+    def test_names_and_benchmarks(self):
+        assert {name: cls().name for name, cls in METRICS.items()} == {
+            "j": "j", "diamond": "diamond", "heuristic": "heuristic"
+        }
+        assert [cls().benchmark(2) for cls in METRICS.values()] == [1.5, 1.5, 1.0]
+
+    def test_unitary_distance_matches_channel_distance(self):
+        rng = np.random.default_rng(31)
+        u, v = random_unitary(rng, 2), random_unitary(rng, 2)
+        for cls in METRICS.values():
+            metric = cls()
+            want = metric.distance(unitary_superop(u), unitary_superop(v))
+            assert metric.unitary_distance(u, v) == pytest.approx(want, abs=1e-6)
+
+    def test_norm_is_not_clipped_but_distance_is(self):
+        scaled = 3.0 * np.eye(4, dtype=complex)
+        for cls in METRICS.values():
+            assert cls().norm(scaled) == pytest.approx(3.0, abs=1e-6)
+        assert induced_trace_distance_heuristic(scaled, -scaled) == 2.0

@@ -38,9 +38,13 @@ def lambda_max_solution(a, tol=1e-9):
 
 class TestParametrization:
     def test_round_trip(self):
+        # a placed variable evaluated at the parameters of m reproduces m
         rng = np.random.default_rng(11)
         m = random_hermitian(rng, 5)
-        back = sdp.hermitian_from_params(sdp.params_from_hermitian(m), 5)
+        prob = sdp.SdpProblem()
+        prob.place_hermitian(prob.add_block(5), prob.add_hermitian(5))
+        [(n, f0, a)] = prob.compiled_blocks()
+        back = f0 + (a.T @ sdp.params_from_hermitian(m)).reshape(n, n, order="F")
         assert np.max(np.abs(back - m)) < 1e-15
 
     def test_param_count(self):

@@ -9,6 +9,8 @@ import pytest
 
 from trotopt.channels import (
     AveragedTimingJitter,
+    Decoherence,
+    Depolarizing,
     TrotterPlan,
     commutator_defect_map,
     faulty_trotter,
@@ -19,20 +21,16 @@ from trotopt.metrics import Diamond, InducedTraceHeuristic, JDistance, j_distanc
 from trotopt.tradeoff import (
     TradeoffConstants,
     best_integer_steps,
-    best_order,
     bound_curve,
-    decoherence_bound,
     defect_strengths,
     depolarizing_costs,
-    depolarizing_distance_at_optimum,
-    depolarizing_optimal_steps,
     depolarizing_tradeoff,
     distance_at_optimum,
     jitter_costs,
     jitter_tradeoff,
     max_simulation_time,
+    noise_tradeoff,
     optimal_steps,
-    pairwise_commutator_strengths,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -77,22 +75,33 @@ class TestDefectStrengths:
     def test_pairwise_sum_dominates(self):
         terms = [SZ, SX, SY]
         total = defect_strengths(terms, JDistance())[0]
-        parts = pairwise_commutator_strengths(terms, JDistance())
-        assert len(parts) == 3
+        parts = [
+            defect_strengths([terms[j], terms[l]], JDistance())[0]
+            for j in range(3)
+            for l in range(j + 1, 3)
+        ]
         assert total <= sum(parts) + 1e-9
+
+    def test_heuristic_strengths_are_not_clipped(self):
+        # the defect maps are not channel differences, so their norms may
+        # exceed 2; the see-saw reaches the diamond norms 8 and 10 from below
+        terms = ising_chain(2)
+        searched = defect_strengths(terms, InducedTraceHeuristic())
+        assert searched == pytest.approx((8.0, 10.0), abs=1e-6)
+        diamond = defect_strengths(terms, Diamond())
+        assert all(h <= d for h, d in zip(searched, diamond))
 
 
 class TestOptimalSteps:
     def test_quadratic_case(self):
-        assert optimal_steps(4.0, 1.0, 2) == pytest.approx(2.0, abs=1e-14)
+        assert optimal_steps(4.0, 1.0) == pytest.approx(2.0, abs=1e-14)
 
-    def test_cubic_case(self):
-        assert optimal_steps(4.0, 1.0, 3) == pytest.approx(2.0, abs=1e-14)
-
-    @pytest.mark.parametrize("order", [2, 3, 5])
-    def test_first_order_optimality(self, order):
-        c = TradeoffConstants(step_cost=3.7, noise_cost=0.21, order=order)
-        n = optimal_steps(c.step_cost, c.noise_cost, order)
+    @pytest.mark.parametrize("steps", [2, 3, 5])
+    def test_first_order_optimality(self, steps):
+        # costs placed so that the real optimum sits at ``steps``
+        c = TradeoffConstants(step_cost=0.21 * steps**2, noise_cost=0.21)
+        n = optimal_steps(c.step_cost, c.noise_cost)
+        assert n == pytest.approx(steps, abs=1e-12)
         here = bound_curve(n, c)
         assert bound_curve(n * 1.01, c) >= here
         assert bound_curve(n * 0.99, c) >= here
@@ -102,25 +111,22 @@ class TestOptimalSteps:
             optimal_steps(0.0, 1.0)
         with pytest.raises(ValueError, match="noise_cost"):
             optimal_steps(1.0, 0.0)
-        with pytest.raises(ValueError, match="order"):
-            optimal_steps(1.0, 1.0, 1)
 
 
 class TestDistanceAtOptimum:
     def test_quadratic_case(self):
-        assert distance_at_optimum(4.0, 1.0, 2) == pytest.approx(4.0, abs=1e-14)
+        assert distance_at_optimum(4.0, 1.0) == pytest.approx(4.0, abs=1e-14)
 
-    @pytest.mark.parametrize("order", [2, 3, 4])
-    def test_equals_curve_at_real_optimum(self, order):
-        c = TradeoffConstants(step_cost=2.3, noise_cost=0.11, order=order)
-        want = bound_curve(optimal_steps(c.step_cost, c.noise_cost, order), c)
-        assert distance_at_optimum(c.step_cost, c.noise_cost, order) == pytest.approx(
-            want, abs=1e-12
-        )
+    @pytest.mark.parametrize("steps", [2, 3, 4])
+    def test_equals_curve_at_real_optimum(self, steps):
+        c = TradeoffConstants(step_cost=0.11 * steps**2, noise_cost=0.11)
+        want = bound_curve(optimal_steps(c.step_cost, c.noise_cost), c)
+        assert want == pytest.approx(2.0 * 0.11 * steps, abs=1e-12)
+        assert distance_at_optimum(c.step_cost, c.noise_cost) == pytest.approx(want, abs=1e-12)
 
     def test_square_root_scaling_in_step_cost(self):
-        base = distance_at_optimum(1.0, 0.3, 2)
-        assert distance_at_optimum(2.0, 0.3, 2) == pytest.approx(
+        base = distance_at_optimum(1.0, 0.3)
+        assert distance_at_optimum(2.0, 0.3) == pytest.approx(
             math.sqrt(2.0) * base, abs=1e-12
         )
 
@@ -208,23 +214,36 @@ class TestMaxSimulationTime:
             max_simulation_time(0.1, 1.0, 1.0, 0.0)
 
 
+# a dimension whose 2/d^2 is below double precision: the large-d limit
+LARGE_D = 2**30
+
+
 class TestDepolarizing:
     def test_large_d_worked_example(self):
-        got = depolarizing_optimal_steps(1.0, 0.01, 1.0, 2, large_d=True)
+        got = optimal_steps(*depolarizing_costs(1.0, 0.01, 1.0, LARGE_D))
         assert got == pytest.approx(math.sqrt(0.99 / 0.04), abs=1e-9)
         assert got == pytest.approx(4.9749, abs=1e-4)
 
     def test_qubit_versus_large_d_ratio(self):
-        small = depolarizing_optimal_steps(1.0, 0.01, 1.0, 2, large_d=False)
-        large = depolarizing_optimal_steps(1.0, 0.01, 1.0, 2, large_d=True)
+        small = optimal_steps(*depolarizing_costs(1.0, 0.01, 1.0, 2))
+        large = optimal_steps(*depolarizing_costs(1.0, 0.01, 1.0, LARGE_D))
         assert small / large == pytest.approx(math.sqrt(4.0 / 3.0), abs=1e-12)
 
     def test_large_d_distance_formula_and_symmetry(self):
         for p in (0.02, 0.3):
-            got = depolarizing_distance_at_optimum(1.3, p, 0.7, 2, large_d=True)
+            got = distance_at_optimum(*depolarizing_costs(1.3, p, 0.7, LARGE_D))
             want = 2.0 * 0.7 * math.sqrt(1.3 * p * (1.0 - p))
             assert got == pytest.approx(want, abs=1e-12)
-            flipped = depolarizing_distance_at_optimum(1.3, 1.0 - p, 0.7, 2, large_d=True)
+            flipped = distance_at_optimum(*depolarizing_costs(1.3, 1.0 - p, 0.7, LARGE_D))
+            assert got == pytest.approx(flipped, abs=1e-12)
+
+    def test_distance_formula_and_symmetry(self):
+        # 2 sqrt(A t^2 (1 - p) / 2 * p w) with w = 2 - 2/d^2 = 1.5 for a qubit
+        for p in (0.02, 0.3):
+            got = distance_at_optimum(*depolarizing_costs(1.3, p, 0.7, 2))
+            want = 0.7 * math.sqrt(2.0 * 1.3 * 1.5 * p * (1.0 - p))
+            assert got == pytest.approx(want, abs=1e-12)
+            flipped = distance_at_optimum(*depolarizing_costs(1.3, 1.0 - p, 0.7, 2))
             assert got == pytest.approx(flipped, abs=1e-12)
 
     def test_survival_discount_on_step_cost(self):
@@ -233,14 +252,19 @@ class TestDepolarizing:
         assert noise_cost == pytest.approx(0.25 * 1.5, abs=1e-15)
 
     def test_noiseless_sentinel(self):
-        assert depolarizing_optimal_steps(1.0, 0.0, 1.0, 2) == math.inf
-        assert depolarizing_distance_at_optimum(1.0, 0.0, 1.0, 2) == 0.0
+        # no noise: the bound falls forever, no finite optimum, distance -> 0
+        c = TradeoffConstants(*depolarizing_costs(1.0, 0.0, 1.0, 2))
+        assert c.noise_cost == 0.0
+        assert best_integer_steps(c.step_cost, c.noise_cost) is None
+        assert bound_curve(10**9, c) <= 1e-8
 
     def test_complete_noise_sentinel(self):
-        assert depolarizing_optimal_steps(1.0, 1.0, 1.0, 2) == 0.0
-        assert depolarizing_distance_at_optimum(1.0, 1.0, 1.0, 2) == pytest.approx(
-            1.5, abs=1e-15
-        )
+        # complete noise: no splitting error survives and every step costs
+        # the full depolarizing distance, so one step is best
+        c = TradeoffConstants(*depolarizing_costs(1.0, 1.0, 1.0, 2))
+        assert c.step_cost == 0.0
+        assert bound_curve(1, c) == pytest.approx(1.5, abs=1e-15)
+        assert np.all(np.diff(bound_curve(np.arange(1, 10), c)) > 0.0)
 
     def test_rejects_rate_outside_unit_interval(self):
         with pytest.raises(ValueError, match="rate"):
@@ -277,57 +301,52 @@ class TestBoundCurve:
     def test_constants_validated(self):
         with pytest.raises(ValueError, match="noise_cost"):
             TradeoffConstants(step_cost=1.0, noise_cost=-0.1)
-        with pytest.raises(ValueError, match="order"):
-            TradeoffConstants(step_cost=1.0, noise_cost=1.0, order=1)
+        with pytest.raises(ValueError, match="floor"):
+            TradeoffConstants(step_cost=1.0, noise_cost=1.0, floor=-0.1)
+
+
+class TestNoiseTradeoff:
+    def test_jitter_couples_through_a_sigma(self):
+        fast = noise_tradeoff(AveragedTimingJitter(0.05), (2.3, 1.7), 0.4, 0.5, 4)
+        assert (fast.step_cost, fast.noise_cost) == jitter_costs(2.3, 1.7, 0.4, 0.025)
+        assert fast.floor == 0.0
+
+    def test_depolarizing_matches_costs(self):
+        c = noise_tradeoff(Depolarizing(0.02), (1.3, 0.4), 0.7, 3.0, 4)
+        assert (c.step_cost, c.noise_cost, c.floor) == (*depolarizing_costs(1.3, 0.02, 0.7, 4), 0.0)
+
+    def test_rejects_unknown_noise(self):
+        with pytest.raises(TypeError, match="unknown noise"):
+            noise_tradeoff("thermal", (1.0, 1.0), 1.0, 1.0, 2)
 
 
 class TestDecoherenceBound:
     def test_no_decay_leaves_pure_splitting_error(self):
-        got = decoherence_bound(4, t=0.5, gamma=0.0, a=1.0, commutator_strength=2.0, dim=4)
-        assert got == pytest.approx(2.0 * 0.25 / 8.0, abs=1e-15)
+        c = noise_tradeoff(Decoherence(0.0), (2.0, 0.0), 0.5, 1.0, 4)
+        assert bound_curve(4, c) == pytest.approx(2.0 * 0.25 / 8.0, abs=1e-15)
 
     def test_monotone_decreasing_in_steps(self):
-        n = np.arange(1, 101)
-        vals = decoherence_bound(n, t=1.0, gamma=0.3, a=1.0, commutator_strength=1.0, dim=4)
+        c = noise_tradeoff(Decoherence(0.3), (1.0, 0.0), 1.0, 1.0, 4)
+        vals = bound_curve(np.arange(1, 101), c)
         assert np.all(np.diff(vals) < 0.0)
+        assert best_integer_steps(c.step_cost, c.noise_cost) is None
+
+    def test_floor_is_end_of_run_depolarizing(self):
+        c = noise_tradeoff(Decoherence(0.3), (1.0, 0.0), 1.0, 1.0, 4)
+        p = 1.0 - math.exp(-0.3)
+        assert c.floor == pytest.approx(p * 1.875, abs=1e-15)
+        assert c.step_cost == pytest.approx((1.0 - p) / 2.0, abs=1e-15)
 
     def test_speedup_helps(self):
-        slow = decoherence_bound(5, t=1.0, gamma=0.3, a=1.0, commutator_strength=1.0, dim=4)
-        fast = decoherence_bound(5, t=1.0, gamma=0.3, a=2.0, commutator_strength=1.0, dim=4)
-        assert fast < slow
+        slow = noise_tradeoff(Decoherence(0.3), (1.0, 0.0), 1.0, 1.0, 4)
+        fast = noise_tradeoff(Decoherence(0.3), (1.0, 0.0), 1.0, 2.0, 4)
+        assert bound_curve(5, fast) < bound_curve(5, slow)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="a must be"):
-            decoherence_bound(5, t=1.0, gamma=0.3, a=0.0, commutator_strength=1.0, dim=4)
+            noise_tradeoff(Decoherence(0.3), (1.0, 0.0), 1.0, 0.0, 4)
         with pytest.raises(ValueError, match="gamma"):
-            decoherence_bound(5, t=1.0, gamma=-0.1, a=1.0, commutator_strength=1.0, dim=4)
-
-
-class TestOrderScan:
-    def test_constant_costs_favor_highest_order(self):
-        order, steps, dist = best_order(lambda s: 4.0, lambda s: 1.0)
-        assert order == 8
-        assert dist == pytest.approx(
-            distance_at_optimum(4.0, 1.0, 8), abs=1e-12
-        )
-        assert steps == pytest.approx(optimal_steps(4.0, 1.0, 8), abs=1e-12)
-
-    def test_growing_noise_cost_favors_lowest_order(self):
-        order, _, _ = best_order(lambda s: 4.0, lambda s: 4.0**s)
-        assert order == 2
-
-    def test_scan_equals_direct_minimum(self):
-        step_of = lambda s: 1.0 + 0.5 * s
-        noise_of = lambda s: 0.01 * 2.0**s
-        _, _, dist = best_order(step_of, noise_of)
-        want = min(distance_at_optimum(step_of(s), noise_of(s), s) for s in range(2, 9))
-        assert dist == pytest.approx(want, abs=1e-12)
-
-    def test_rejects_empty_and_low_orders(self):
-        with pytest.raises(ValueError, match="at least one"):
-            best_order(lambda s: 1.0, lambda s: 1.0, orders=[])
-        with pytest.raises(ValueError, match="order"):
-            best_order(lambda s: 1.0, lambda s: 1.0, orders=[1])
+            noise_tradeoff(Decoherence(-0.1), (1.0, 0.0), 1.0, 1.0, 4)
 
 
 class TestScalingInvariants:
@@ -339,13 +358,10 @@ class TestScalingInvariants:
 
     def test_builders_fill_reporting_fields(self):
         terms = ising_chain(2)
+        commutator_strength, jitter_strength = defect_strengths(terms, JDistance())
         tc = jitter_tradeoff(terms, t=0.1, sigma=0.01)
-        assert tc.dim == 4
-        assert tc.metric == JDistance()
-        assert tc.step_cost == pytest.approx(
-            tc.commutator_strength * 0.01 / 2.0, abs=1e-15
-        )
-        assert tc.noise_cost == pytest.approx(tc.jitter_strength * 1e-4, abs=1e-18)
+        assert tc.step_cost == pytest.approx(commutator_strength * 0.01 / 2.0, abs=1e-15)
+        assert tc.noise_cost == pytest.approx(jitter_strength * 1e-4, abs=1e-18)
         td = depolarizing_tradeoff(terms, p=0.05, t=0.1)
         assert td.noise_cost == pytest.approx(0.05 * 1.875, abs=1e-15)
         assert td.step_cost == pytest.approx(0.95 * tc.step_cost, abs=1e-15)
