@@ -181,7 +181,7 @@ def averaged_jitter_superop(h: np.ndarray, sigma: float) -> np.ndarray:
     gaps = evals[:, None] - evals[None, :]
     lam = np.exp(-0.5 * (sigma * gaps) ** 2)
     basis = unitary_superop(w)
-    return basis @ np.diag(vec(lam)) @ basis.conj().T
+    return (basis * vec(lam)) @ basis.conj().T
 
 
 def ideal_map(plan: TrotterPlan) -> np.ndarray:

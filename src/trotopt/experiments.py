@@ -41,6 +41,7 @@ from .metrics import (
     InducedTraceHeuristic,
     JDistance,
     Metric,
+    j_distance,
     noise_benchmarks,
 )
 from .tradeoff import (
@@ -331,12 +332,15 @@ def seeded_rng(master_seed: int, *key: int) -> np.random.Generator:
 
 
 def _distance(faulty, ideal, metric: Metric, sdp_tol: float) -> tuple[float, str]:
-    """(value, status); an SDP failure is reported in the status with the
-    best upper bound as the value."""
+    """(value, status); an SDP failure is reported in the status, and the
+    value is then a certified upper bound: the least of 2, ``d`` times the
+    J-distance (J <= diamond <= d J) and the best primal value, if any."""
     try:
         return metric.distance(faulty, ideal, sdp_tol), "ok"
     except DiamondNormError as exc:
-        return exc.primal, exc.status
+        d = round(np.sqrt(faulty.shape[0]))
+        bound = min(2.0, d * j_distance(faulty, ideal))
+        return float(np.fmin(bound, exc.primal)), exc.status
 
 
 def _tradeoff(config: ExperimentConfig, strengths) -> TradeoffConstants:
@@ -419,7 +423,7 @@ def montecarlo_point(config: ExperimentConfig, index: int) -> list[tuple]:
     rows = []
     for metric in config.metrics:
         values = [metric.unitary_distance(u, ideal_u) for u in unitaries]
-        # on SDP failure the recorded value is the best upper bound
+        # on SDP failure the recorded value is a certified upper bound
         avg_value, _ = _distance(averaged, ideal, metric, config.sdp_tol)
         rows.extend((str(run), n, metric.name, v) for run, v in enumerate(values))
         rows.append(("averaged", n, metric.name, avg_value))

@@ -24,8 +24,12 @@ The algorithm is a feasible-start primal-dual interior-point method with
 Nesterov-Todd scaling ``W`` (``W Z W = S``), a fixed barrier reduction
 factor ``sigma = 0.3``, fraction-to-boundary 0.98 and an iteration cap of
 200.  Strict feasibility of the supplied starting point is required (and
-checked); infeasibility detection is out of scope.  Block dimensions are
-capped at 128.
+checked); infeasibility detection is out of scope.  Each iteration forms
+the Schur complement ``Re <F_j, G F_i G>`` of the Newton system from a dense
+copy of every block's coefficients, two matrix products per block, and
+solves it by Cholesky.  Block dimensions are capped at 64 (``d^2`` for the
+diamond norm of a three-qubit map), where those copies take about 270 MB a
+block.
 
 Everything is dense numpy/scipy and deterministic; a single solve is
 single-threaded.
@@ -40,9 +44,8 @@ import scipy.sparse as sp
 
 SIGMA = 0.3
 BOUNDARY_FRACTION = 0.98
-MAX_BLOCK_DIM = 128
+MAX_BLOCK_DIM = 64
 DEFAULT_MAX_ITER = 200
-_KRON_LIMIT = 48  # largest block size for which kron(G.T, G) is materialized
 
 
 @dataclass(frozen=True)
@@ -232,10 +235,6 @@ class SdpProblem:
         return out
 
 
-def _unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return v.reshape(n, n, order="F")
-
-
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
@@ -248,22 +247,6 @@ def _psd_sqrt_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         return np.empty(0), np.empty(0), lo
     root = np.sqrt(evals)
     return (vecs * root) @ vecs.conj().T, (vecs / root) @ vecs.conj().T, lo
-
-
-def _sandwich_rows(a: sp.csr_matrix, g: np.ndarray, n: int) -> np.ndarray:
-    """Dense matrix whose row ``i`` is ``vec(G F_i G)`` for ``F_i = unvec(a[i])``."""
-    if n <= _KRON_LIMIT:
-        gg = np.kron(g.T, g)
-        return a @ gg.T
-    m = a.shape[0]
-    out = np.empty((m, n * n), dtype=complex)
-    chunk = max(1, (1 << 22) // (n * n))
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        fs = np.asarray(a[lo:hi].todense()).reshape(hi - lo, n, n).transpose(0, 2, 1)
-        ks = g @ fs @ g
-        out[lo:hi] = ks.transpose(0, 2, 1).reshape(hi - lo, n * n)
-    return out
 
 
 def _max_step(shrink_half: np.ndarray, direction: np.ndarray) -> float:
@@ -296,18 +279,28 @@ def solve(
         raise ValueError("problem has no variables")
     if not problem._blocks:
         raise ValueError("problem has no constraint blocks")
+    # imported here: scipy.linalg adds about 0.1 s to the start-up of every
+    # command, and only a solve needs it
+    from scipy.linalg import cho_solve
 
     c = problem.objective_vector()
-    blocks = problem.compiled_blocks()
-    total_dim = sum(n for n, _, _ in blocks)
     m = problem.n_params
+    # per block: n, F0, the sparse rows conj(vec(F_i)) and the dense
+    # coefficients cf[col, row, i] = F_i[row, col]; two matmuls into the
+    # shared work buffers then give every G F_i G with no transposed copy
+    blocks = [
+        (n, f0, a.conj().tocsr(), a.T.toarray().reshape(n, n, m))
+        for n, f0, a in problem.compiled_blocks()
+    ]
+    total_dim = sum(n for n, *_ in blocks)
+    work = np.empty((2, max(n for n, *_ in blocks) ** 2 * m), dtype=complex)
 
     x = np.zeros(m) if x0 is None else np.array(x0, dtype=float).reshape(m)
     if z0 is None:
-        zs = [np.eye(n, dtype=complex) for n, _, _ in blocks]
+        zs = [np.eye(n, dtype=complex) for n, *_ in blocks]
     else:
         zs = [np.array(z, dtype=complex) for z in z0]
-        for (n, _, _), z in zip(blocks, zs):
+        for (n, *_), z in zip(blocks, zs):
             if z.shape != (n, n):
                 raise ValueError("dual start has mismatched block shape")
 
@@ -323,16 +316,16 @@ def solve(
 
     def sum_dual_images() -> np.ndarray:
         acc = np.zeros(m)
-        for (n, _, a), z in zip(blocks, zs):
-            acc += (a.conj() @ z.reshape(-1, order="F")).real
+        for (_, _, adj, _), z in zip(blocks, zs):
+            acc += (adj @ z.reshape(-1, order="F")).real
         return acc
 
     for iterations in range(1, max_iter + 1):
         ss = []
         s_invhalves = []
         ok = True
-        for (n, f0, a) in blocks:
-            s = _hermitize(f0 + _unvec(a.T @ x, n))
+        for (_, f0, _, cf) in blocks:
+            s = _hermitize(f0 + (cf @ x).T)
             half, invhalf, lo = _psd_sqrt_pair(s)
             if lo <= 0.0:
                 ok = False
@@ -361,7 +354,7 @@ def solve(
         rcs = []
         z_invhalves = []
         failed = False
-        for (n, f0, a), s, (s_half, s_invhalf), z in zip(blocks, ss, s_invhalves, zs):
+        for (n, _, adj, cf), s, (s_half, s_invhalf), z in zip(blocks, ss, s_invhalves, zs):
             z_half, z_invhalf, z_lo = _psd_sqrt_pair(z)
             if z_lo <= 0.0:
                 failed = True
@@ -378,9 +371,12 @@ def solve(
             rc = SIGMA * mu * z_inv - s
             gs.append(g)
             rcs.append(rc)
-            rows = _sandwich_rows(a, g, n)
-            mmat += (a.conj() @ rows.T).real
-            rhs += (a.conj() @ (g @ rc @ g).reshape(-1, order="F")).real
+            u = work[0, : cf.size].reshape(cf.shape)
+            v = work[1, : cf.size].reshape(n, n * m)
+            np.matmul(g, cf, out=u)
+            np.matmul(g.T, u.reshape(n, n * m), out=v)  # v[col, (row, i)] = (G F_i G)[row, col]
+            mmat += (adj @ v.reshape(n * n, m)).real
+            rhs += (adj @ (g @ rc @ g).reshape(-1, order="F")).real
         if failed:
             status = "NumericalFailure"
             break
@@ -396,7 +392,8 @@ def solve(
             except np.linalg.LinAlgError:
                 status = "NumericalFailure"
                 break
-        dx = np.linalg.solve(chol.conj().T, np.linalg.solve(chol, rhs))
+        # chol.T is the upper factor in the Fortran order LAPACK takes, uncopied
+        dx = cho_solve((chol.T, False), rhs, check_finite=False)
         if not np.all(np.isfinite(dx)):
             status = "NumericalFailure"
             break
@@ -405,10 +402,10 @@ def solve(
         alpha_d = 1.0
         dss = []
         dzs = []
-        for (n, f0, a), (s_half, s_invhalf), z_invhalf, g, rc in zip(
+        for (_, _, _, cf), (s_half, s_invhalf), z_invhalf, g, rc in zip(
             blocks, s_invhalves, z_invhalves, gs, rcs
         ):
-            ds = _hermitize(_unvec(a.T @ dx, n))
+            ds = _hermitize((cf @ dx).T)
             dz = _hermitize(g @ (rc - ds) @ g)
             dss.append(ds)
             dzs.append(dz)

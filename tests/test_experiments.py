@@ -1,9 +1,19 @@
 """Config parsing, experiment row generation, CSV emission and CLI wiring."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from trotopt.channels import AveragedTimingJitter, Depolarizing, TimingJitter
+from trotopt import sdp
+from trotopt.channels import (
+    AveragedTimingJitter,
+    Depolarizing,
+    TimingJitter,
+    TrotterPlan,
+    faulty_trotter,
+    ideal_map,
+)
 from trotopt.experiments import (
     MONTECARLO_HEADER,
     SWEEP_HEADER,
@@ -23,9 +33,16 @@ from trotopt.experiments import (
     parse_noise,
     seeded_rng,
     sweep_rows,
+    _distance,
 )
 from trotopt.hamiltonians import HamiltonianFormatError, ising_chain
-from trotopt.metrics import Diamond, InducedTraceHeuristic, JDistance
+from trotopt.metrics import (
+    Diamond,
+    InducedTraceHeuristic,
+    JDistance,
+    diamond_distance,
+    j_distance,
+)
 from trotopt import cli
 
 
@@ -232,11 +249,56 @@ class TestSweep:
         config = small_config(n_grid=(1, 2, 4, 8))
         assert sweep_rows(config, jobs=2) == sweep_rows(config, jobs=1)
 
+    def test_failed_solve_reports_certified_bound(self, monkeypatch):
+        real_solve = sdp.solve
+
+        def fail_at_first_iterate(problem, **kw):
+            # a start that is not strictly feasible fails before any primal value
+            sol = real_solve(problem, **{**kw, "x0": np.zeros_like(kw["x0"])})
+            assert sol.iterations == 1 and np.isnan(sol.primal)
+            return sol
+
+        plan = TrotterPlan(tuple(ising_chain(2)), t=0.1, n=4)
+        faulty = faulty_trotter(plan, AveragedTimingJitter(0.01))
+        ideal = ideal_map(plan)
+        exact = diamond_distance(faulty, ideal)
+        monkeypatch.setattr("trotopt.sdp.solve", fail_at_first_iterate)
+        value, status = _distance(faulty, ideal, Diamond(), 1e-7)
+        assert status == "NumericalFailure"
+        assert np.isfinite(value)
+        assert value == min(2.0, 4 * j_distance(faulty, ideal))
+        assert exact <= value
+        config = small_config(
+            noise=TimingJitter(0.01), metrics=(Diamond(),), n_grid=(4,), runs=2
+        )
+        averaged = [r for r in montecarlo_rows(config) if r[0] == "averaged"]
+        assert len(averaged) == 1 and np.isfinite(averaged[0][3])
+
     def test_heuristic_bound_dominates(self):
         # the defect-map norms behind the bound are not clipped at 2
         config = small_config(metrics=(InducedTraceHeuristic(restarts=8),), n_grid=(1, 4, 16))
         for row in sweep_rows(config):
             assert row[2] <= row[3]
+
+
+class TestReadmeExample:
+    def test_sweep_matches_readme(self):
+        # the README's sweep example, run as printed there: its J columns are
+        # held to 1e-12 and its diamond columns to the SDP tolerance
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        cfg_text = text.split("$ cat sweep.cfg\n", 1)[1].split("\n\n", 1)[0]
+        shown = text.split("$ trotopt sweep --config sweep.cfg | head -6\n", 1)[1]
+        shown = shown.split("```", 1)[0].splitlines()
+        config = build_config(parse_config_text(cfg_text))
+        got = format_csv(SWEEP_HEADER, sweep_rows(config), config).splitlines()
+        assert len(shown) == 6
+        assert got[:2] == shown[:2]
+        for want, have in zip(shown[2:], got[2:]):
+            want, have = want.split(","), have.split(",")
+            assert want[:2] + want[5:] == have[:2] + have[5:]
+            tol = 1e-12 if want[1] == "j" else 1e-7
+            for a, b in zip(want[2:5], have[2:5]):
+                assert abs(float(a) - float(b)) <= tol, (want, have)
 
 
 class TestMonteCarlo:

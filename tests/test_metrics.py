@@ -299,6 +299,11 @@ class TestDiamondSdp:
         assert np.isfinite(err.primal)
         assert err.dual <= err.primal
 
+    def test_rejects_map_that_does_not_annihilate_trace(self):
+        # the single-variable SDP would report 6.0 here, not the true 3.0
+        with pytest.raises(ValueError, match="annihilate trace"):
+            diamond_norm_hp(3.0 * np.eye(4, dtype=complex))
+
     def test_rejects_non_hermiticity_preserving(self):
         rng = np.random.default_rng(62)
         a = random_unitary(rng, 2)
@@ -475,7 +480,8 @@ class TestMetricDispatch:
             assert metric.unitary_distance(u, v) == pytest.approx(want, abs=1e-6)
 
     def test_norm_is_not_clipped_but_distance_is(self):
-        scaled = 3.0 * np.eye(4, dtype=complex)
+        # a trace-annihilating map whose J, diamond and heuristic norms are 6
+        scaled = 3.0 * (unitary_superop(SX) - np.eye(4, dtype=complex))
         for cls in METRICS.values():
-            assert cls().norm(scaled) == pytest.approx(3.0, abs=1e-6)
+            assert cls().norm(scaled) == pytest.approx(6.0, abs=1e-6)
         assert induced_trace_distance_heuristic(scaled, -scaled) == 2.0
