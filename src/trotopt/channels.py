@@ -19,16 +19,17 @@ formula:
   decay that cares about wall-clock time only.
 
 All supermatrices use the column-stacking convention of
-:mod:`trotopt.linalg`.  Sampled-jitter randomness always flows through a
-caller-supplied ``numpy.random.Generator`` (the package standardizes on the
-default PCG64 bit generator); the draw order is ``rng.normal(0, sigma,
-size=(n, k))`` in row-major order, which makes runs with a fixed seed
-bit-reproducible.
+:mod:`trotopt.linalg`.  Sampled-jitter randomness flows through one
+caller-supplied ``numpy.random.Generator`` per circuit run (default PCG64);
+each run draws its own ``rng.normal(0, sigma, size=(n, k))`` table in
+row-major order, so run ``r`` depends on its generator alone, runs with a
+fixed seed are bit-reproducible, and the runs of one call stack in order.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,19 +218,21 @@ def jitter_deltas(plan: TrotterPlan, sigma: float, rng: np.random.Generator) -> 
 
 
 def sampled_trotter_unitary(
-    plan: TrotterPlan, sigma: float, rng: np.random.Generator
+    plan: TrotterPlan, sigma: float, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
-    """One sampled run of the jittered circuit as a ``d x d`` unitary.
+    """Sampled runs of the jittered circuit, stacked as ``(runs, d, d)`` unitaries.
 
-    Each gate runs for ``t/n + a*delta`` on the unscaled generator, which is
-    the scaled-generator picture ``exp(i a H_j (t/(a n) + delta))`` folded
-    back to simuland units.
+    Run ``r`` draws its ``(n, k)`` table from ``rngs[r]`` alone.  Each gate runs for
+    ``t/n + a*delta`` on the unscaled generator (``exp(i a H_j (t/(a n) + delta))``
+    in simuland units), as ``V diag(exp(i theta lambda)) V^dag`` with one ``eigh`` per term.
     """
-    deltas = jitter_deltas(plan, sigma, rng)
-    u = np.eye(plan.dim, dtype=complex)
+    deltas = np.stack([jitter_deltas(plan, sigma, rng) for rng in rngs])
+    eigs = [np.linalg.eigh(h) for h in plan.terms]
+    u = np.eye(plan.dim, dtype=complex)  # the first gate broadcasts it over the runs
     for i in range(plan.n):
-        for j, h in enumerate(plan.terms):
-            u = hermitian_exp(h, plan.tau + plan.a * deltas[i, j]) @ u
+        for j, (evals, evecs) in enumerate(eigs):
+            phases = np.exp(1j * (plan.tau + plan.a * deltas[:, i, j])[:, None] * evals)
+            u = ((evecs * phases[:, None, :]) @ evecs.conj().T) @ u
     return u
 
 
@@ -249,7 +252,7 @@ def faulty_trotter(
     if isinstance(noise, TimingJitter):
         if rng is None:
             raise ValueError("sampled timing jitter needs an rng; pass a seeded Generator")
-        return unitary_superop(sampled_trotter_unitary(plan, noise.sigma, rng))
+        return unitary_superop(sampled_trotter_unitary(plan, noise.sigma, (rng,))[0])
     if isinstance(noise, AveragedTimingJitter):
         step = np.eye(d * d, dtype=complex)
         for h in plan.terms:

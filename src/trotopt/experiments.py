@@ -33,7 +33,7 @@ from .channels import (
     sampled_trotter_unitary,
 )
 from .hamiltonians import ising_chain, terms_from_text
-from .linalg import hermitian_exp
+from .linalg import hermitian_exp, unitary_superop
 from .metrics import (
     METRICS,
     Diamond,
@@ -407,19 +407,16 @@ def sweep_rows(config: ExperimentConfig, jobs: int = 1) -> list[tuple]:
 def montecarlo_point(config: ExperimentConfig, index: int) -> list[tuple]:
     """All rows for one grid point: every run, their mean, the averaged map.
 
-    Each run is sampled once and scored under every metric.
+    All runs are sampled in one batch and scored under every metric.
     """
     n = config.n_grid[index]
     sigma = config.noise.sigma
     plan = TrotterPlan(config.terms, t=config.t, n=n, a=config.a)
-    total = sum(config.terms[1:], start=config.terms[0].copy())
-    ideal_u = hermitian_exp(total, config.t)
-    ideal = ideal_map(plan)
+    ideal_u = hermitian_exp(sum(config.terms[1:], start=config.terms[0].copy()), config.t)
+    ideal = unitary_superop(ideal_u)
     averaged = faulty_trotter(plan, AveragedTimingJitter(sigma))
-    unitaries = [
-        sampled_trotter_unitary(plan, sigma, seeded_rng(config.master_seed, run, n))
-        for run in range(config.runs)
-    ]
+    rngs = [seeded_rng(config.master_seed, run, n) for run in range(config.runs)]
+    unitaries = sampled_trotter_unitary(plan, sigma, rngs)
     rows = []
     for metric in config.metrics:
         values = [metric.unitary_distance(u, ideal_u) for u in unitaries]

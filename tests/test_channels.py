@@ -29,7 +29,9 @@ from trotopt.channels import (
     trotter_ideal,
     trotter_step_unitary,
 )
+from trotopt.experiments import ExperimentConfig, seeded_rng, sweep_rows
 from trotopt.hamiltonians import ising_chain
+from trotopt.metrics import j_distance
 
 SZ = np.diag([1.0 + 0.0j, -1.0])
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -195,18 +197,72 @@ class TestSampledJitter:
     def test_zero_width_is_identity(self):
         # zero-width jitter leaves every gate as planned: the noiseless circuit
         plan = qubit_plan(t=0.6, n=3)
-        u = sampled_trotter_unitary(plan, 0.0, np.random.default_rng(1))
+        u = sampled_trotter_unitary(plan, 0.0, [np.random.default_rng(1)])[0]
         np.testing.assert_allclose(linalg.unitary_superop(u), trotter_ideal(plan), atol=1e-12)
 
     def test_preserves_purity(self):
         rng = np.random.default_rng(2)
-        t = linalg.unitary_superop(sampled_trotter_unitary(qubit_plan(t=0.6, n=3), 0.8, rng))
+        u = sampled_trotter_unitary(qubit_plan(t=0.6, n=3), 0.8, (rng,))[0]
+        t = linalg.unitary_superop(u)
         for _ in range(5):
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             v /= np.linalg.norm(v)
             rho = np.outer(v, v.conj())
             out = linalg.unvec(t @ linalg.vec(rho))
             assert np.trace(out @ out).real == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("a", [1.0, 2.5])
+    @pytest.mark.parametrize("n", [1, 6])
+    @pytest.mark.parametrize("qubits", [1, 2, 3])
+    def test_stack_matches_per_gate_product(self, qubits, n, a):
+        # oracle: the product of per-gate exponentials, each run from its own
+        # generator drawn with the same seed
+        terms = (SZ, SX) if qubits == 1 else ising_chain(qubits)
+        plan = TrotterPlan(terms, t=0.7, n=n, a=a)
+        sigma = 0.2
+        seeds = (11, 12, 13)
+        stack = sampled_trotter_unitary(
+            plan, sigma, [np.random.default_rng(seed) for seed in seeds]
+        )
+        assert stack.shape == (len(seeds), 2**qubits, 2**qubits)
+        for seed, u in zip(seeds, stack):
+            deltas = jitter_deltas(plan, sigma, np.random.default_rng(seed))
+            ref = np.eye(plan.dim, dtype=complex)
+            for i in range(n):
+                for j, h in enumerate(plan.terms):
+                    ref = linalg.hermitian_exp(h, plan.tau + a * deltas[i, j]) @ ref
+            np.testing.assert_allclose(u, ref, rtol=0, atol=1e-12)
+
+    def test_run_depends_on_its_generator_alone(self):
+        plan = ising_plan(t=0.5, n=7, a=1.5)
+        seeds = (5, 6, 7, 8)
+        forward = sampled_trotter_unitary(plan, 0.1, [np.random.default_rng(s) for s in seeds])
+        backward = sampled_trotter_unitary(
+            plan, 0.1, [np.random.default_rng(s) for s in reversed(seeds)]
+        )
+        np.testing.assert_array_equal(backward, forward[::-1])
+        alone = sampled_trotter_unitary(plan, 0.1, [np.random.default_rng(seeds[2])])
+        np.testing.assert_array_equal(alone[0], forward[2])
+
+    def test_sweep_row_is_the_one_run_stack(self):
+        # a jitter sweep builds its channel through faulty_trotter from the
+        # point's generator; that channel is the one-run stack's unitary
+        config = ExperimentConfig(
+            terms=tuple(ising_chain(2)),
+            label="ising:2",
+            noise=TimingJitter(0.05),
+            t=0.3,
+            n_grid=(1, 3, 7),
+            master_seed=4,
+        )
+        rows = sweep_rows(config)
+        for index, n in enumerate(config.n_grid):
+            plan = TrotterPlan(config.terms, t=config.t, n=n)
+            rng = seeded_rng(config.master_seed, index)
+            u = sampled_trotter_unitary(plan, config.noise.sigma, [rng])[0]
+            faulty = faulty_trotter(plan, config.noise, seeded_rng(config.master_seed, index))
+            assert np.array_equal(faulty, linalg.unitary_superop(u))
+            assert rows[index][2] == j_distance(linalg.unitary_superop(u), ideal_map(plan))
 
     def test_draw_statistics(self):
         sigma = 0.3
@@ -283,9 +339,12 @@ class TestFaultyTrotter:
         n_runs = 10_000
         acc = np.zeros((16, 16), dtype=complex)
         acc_sq = np.zeros((16, 16))
-        for run in range(n_runs):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=2024, spawn_key=(run,)))
-            t = linalg.unitary_superop(sampled_trotter_unitary(plan, sigma, rng))
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(entropy=2024, spawn_key=(run,)))
+            for run in range(n_runs)
+        ]
+        for u in sampled_trotter_unitary(plan, sigma, rngs):
+            t = linalg.unitary_superop(u)
             acc += t
             acc_sq += np.abs(t) ** 2
         mean = acc / n_runs
@@ -381,9 +440,9 @@ class TestRescaling:
         slow = faulty_trotter(plan, AveragedTimingJitter(2.0 * sigma))
         np.testing.assert_allclose(fast, slow, atol=1e-12)
         u_fast = sampled_trotter_unitary(
-            qubit_plan(t=0.8, n=4, a=2.0), sigma, np.random.default_rng(3)
+            qubit_plan(t=0.8, n=4, a=2.0), sigma, [np.random.default_rng(3)]
         )
-        u_slow = sampled_trotter_unitary(plan, 2.0 * sigma, np.random.default_rng(3))
+        u_slow = sampled_trotter_unitary(plan, 2.0 * sigma, [np.random.default_rng(3)])
         np.testing.assert_allclose(u_fast, u_slow, atol=1e-12)
 
     def test_decoherence_sees_wall_clock_time(self):

@@ -1,4 +1,5 @@
-"""Property tests: the diamond SDP on random channels and unitaries.
+"""Property tests: the diamond SDP and the see-saw heuristic on random
+channels and unitaries, and the noise models on random term groups.
 
 Examples are drawn by hypothesis from a seed derived from each test, so every
 run checks the same cases; ``max_examples`` keeps the suite time bounded.
@@ -8,8 +9,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trotopt.linalg import choi_from_super, unitary_superop
-from trotopt.metrics import _diamond_sdp, diamond_distance, diamond_distance_unitary, j_distance
+from trotopt.channels import (
+    AveragedTimingJitter,
+    Decoherence,
+    Depolarizing,
+    TimingJitter,
+    TrotterPlan,
+    faulty_trotter,
+)
+from trotopt.hamiltonians import terms_from_text
+from trotopt.linalg import choi_from_super, partial_trace, super_to_choi, unitary_superop
+from trotopt.metrics import (
+    _diamond_sdp,
+    diamond_distance,
+    diamond_distance_unitary,
+    induced_trace_distance_heuristic,
+    j_distance,
+)
 
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -62,3 +78,52 @@ def test_weak_duality_at_every_iterate(d, seed):
     assert np.all(primals >= duals)
     # every primal value bounds every dual value, not just its own iterate's
     assert duals.max() <= primals.min() + 1e-9
+
+
+@PROPERTY
+@given(seed=SEEDS)
+def test_heuristic_below_diamond(seed):
+    rng = np.random.default_rng(seed)
+    ta, tb = random_channel(rng, 2), random_channel(rng, 2)
+    heuristic = induced_trace_distance_heuristic(ta, tb)
+    assert heuristic <= diamond_distance(ta, tb, tol=1e-7) + 1e-6
+
+
+@st.composite
+def hamiltonian_texts(draw):
+    """A random term-group Hamiltonian in the text format: 1-3 sites, 1-3
+    groups of 1-3 weighted Pauli strings each."""
+    sites = draw(st.integers(1, 3))
+    words = st.text(alphabet="xyz.", min_size=sites, max_size=sites)
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    term = st.tuples(coeffs, words).map(lambda cw: f"{cw[0]!r} {cw[1]}")
+    group = st.lists(term, min_size=1, max_size=3).map(" ; ".join)
+    groups = st.lists(group, min_size=1, max_size=3)
+    return f"{sites} | " + " | ".join(draw(groups))
+
+
+NOISE_MODELS = [
+    TimingJitter(0.1),
+    AveragedTimingJitter(0.1),
+    Depolarizing(0.05),
+    Decoherence(0.2),
+]
+
+
+@pytest.mark.parametrize("noise", NOISE_MODELS, ids=["jitter", "avg-jitter", "depol", "decoh"])
+@PROPERTY
+@given(
+    text=hamiltonian_texts(),
+    t=st.floats(0.0, 2.0),
+    n=st.integers(1, 6),
+    a=st.floats(0.25, 4.0),
+    seed=SEEDS,
+)
+def test_text_hamiltonians_give_cptp_channels(noise, text, t, n, a, seed):
+    # a jitter channel is one sampled run, drawn from the generator
+    plan = TrotterPlan(tuple(terms_from_text(text)), t=t, n=n, a=a)
+    choi = super_to_choi(faulty_trotter(plan, noise, np.random.default_rng(seed)))
+    d = plan.dim
+    np.testing.assert_allclose(choi, choi.conj().T, atol=1e-9)
+    assert np.linalg.eigvalsh(choi).min() >= -1e-9
+    np.testing.assert_allclose(partial_trace(choi, (d, d), 1), np.eye(d) / d, atol=1e-9)
