@@ -10,6 +10,7 @@ solve or benchmark check fails.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -118,6 +119,8 @@ def main(argv=None) -> int:
             rows = montecarlo_rows(config, jobs=args.jobs)
             _emit(format_csv(MONTECARLO_HEADER, rows, config), config.out)
         elif args.command == "optimum":
+            if args.dmax is not None and not (math.isfinite(args.dmax) and args.dmax > 0):
+                raise ConfigError(f"--dmax must be finite and > 0, got {args.dmax}")
             config = _config_from_args(args)
             _emit(optimum_report(config, dmax=args.dmax, jobs=args.jobs), config.out)
         elif args.command == "benchmarks":
@@ -126,6 +129,8 @@ def main(argv=None) -> int:
                     f"--dim must be in [2, {DIAMOND_MAX_DIM}] (the diamond SDP supports "
                     f"dimension <= {DIAMOND_MAX_DIM}), got {args.dim}"
                 )
+            if not (math.isfinite(args.sdp_tol) and args.sdp_tol > 0):
+                raise ConfigError(f"--sdp-tol must be finite and > 0, got {args.sdp_tol}")
             text, ok = benchmark_report(args.dim, args.sdp_tol)
             _emit(text, args.out)
             if not ok:

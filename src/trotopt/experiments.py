@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -100,10 +101,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.terms:
             raise ConfigError("config needs at least one Hamiltonian term")
-        if self.t < 0:
-            raise ConfigError(f"t must be >= 0, got {self.t}")
-        if self.a <= 0:
-            raise ConfigError(f"a must be > 0, got {self.a}")
+        if not (math.isfinite(self.t) and self.t >= 0):
+            raise ConfigError(f"t must be finite and >= 0, got {self.t}")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ConfigError(f"a must be finite and > 0, got {self.a}")
         grid = tuple(int(n) for n in self.n_grid)
         if not grid:
             raise ConfigError("n_grid must not be empty")
@@ -118,8 +119,8 @@ class ExperimentConfig:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError(f"master_seed must fit in 64 bits, got {self.master_seed}")
-        if self.sdp_tol <= 0:
-            raise ConfigError(f"sdp_tol must be > 0, got {self.sdp_tol}")
+        if not (math.isfinite(self.sdp_tol) and self.sdp_tol > 0):
+            raise ConfigError(f"sdp_tol must be finite and > 0, got {self.sdp_tol}")
         for metric in self.metrics:
             if self.dim > metric.max_dim:
                 raise ConfigError(

@@ -144,7 +144,7 @@ def max_simulation_time(
         ("jitter_strength", jitter_strength),
         ("sigma", sigma),
     ):
-        if val <= 0.0:
+        if not val > 0.0:
             raise ValueError(f"{name} must be > 0, got {val}")
     return distance_budget / (sigma * math.sqrt(2.0 * commutator_strength * jitter_strength))
 

@@ -1,5 +1,7 @@
 """Config parsing, experiment row generation, CSV emission and CLI wiring."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +141,16 @@ class TestSettingParsers:
             parse_noise("thermal:0.1")
         with pytest.raises(ConfigError, match="model:parameter"):
             parse_noise("jitter")
+        for text, name in [
+            ("jitter:nan", "sigma"),
+            ("avg-jitter:nan", "sigma"),
+            ("avg-jitter:inf", "sigma"),
+            ("decoherence:nan", "gamma"),
+            ("decoherence:inf", "gamma"),
+            ("depol:nan", "p"),
+        ]:
+            with pytest.raises(ConfigError, match=f"{name} must"):
+                parse_noise(text)
 
     def test_metrics(self):
         metrics = parse_metrics("j, diamond,heuristic")
@@ -250,13 +262,11 @@ class TestSweep:
         assert sweep_rows(config, jobs=2) == sweep_rows(config, jobs=1)
 
     def test_failed_solve_reports_certified_bound(self, monkeypatch):
-        real_solve = sdp.solve
-
-        def fail_at_first_iterate(problem, **kw):
-            # a start that is not strictly feasible fails before any primal value
-            sol = real_solve(problem, **{**kw, "x0": np.zeros_like(kw["x0"])})
-            assert sol.iterations == 1 and np.isnan(sol.primal)
-            return sol
+        def fail_at_first_iterate(j, **kw):
+            # a solve that fails before any primal value
+            return sdp.SdpSolution(
+                primal=np.nan, dual=np.nan, gap=np.inf, iterations=1, status="NumericalFailure"
+            )
 
         plan = TrotterPlan(tuple(ising_chain(2)), t=0.1, n=4)
         faulty = faulty_trotter(plan, AveragedTimingJitter(0.01))
@@ -440,6 +450,19 @@ class TestBenchmarkReport:
 
 
 class TestCli:
+    def test_cli_imports_no_scipy(self):
+        # scipy is a test-only dependency; a command must start without it
+        code = "import sys, trotopt.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_benchmarks_exit_code(self, capsys):
         assert cli.main(["benchmarks", "--dim", "2"]) == 0
         assert "all checks passed" in capsys.readouterr().out
@@ -488,6 +511,29 @@ class TestCli:
         cfg.write_text("bogus = 1\n", encoding="utf-8")
         assert cli.main(["sweep", "--config", str(cfg)]) == 2
         assert "line 1" in capsys.readouterr().err
+        # non-finite numbers are refused before any channel is built
+        base = "hamiltonian = ising:2\nnoise = avg-jitter:0.01\nn_grid = 1,2\nmetrics = j,diamond\n"
+        for line, message in [
+            ("t = nan", "t must be finite"),
+            ("t = inf", "t must be finite"),
+            ("a = inf", "a must be finite"),
+            ("a = nan", "a must be finite"),
+            ("sdp_tol = nan", "sdp_tol must be finite"),
+            ("sdp_tol = inf", "sdp_tol must be finite"),
+        ]:
+            cfg.write_text(base + line + "\n", encoding="utf-8")
+            assert cli.main(["sweep", "--config", str(cfg)]) == 2, line
+            assert message in capsys.readouterr().err
+        cfg.write_text(base.replace("0.01", "nan"), encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        assert "sigma must be finite" in capsys.readouterr().err
+        for tol in ["nan", "inf", "0"]:
+            assert cli.main(["benchmarks", "--dim", "2", "--sdp-tol", tol]) == 2
+            assert "--sdp-tol must be finite" in capsys.readouterr().err
+        cfg.write_text(base, encoding="utf-8")
+        for dmax in ["nan", "inf", "-1"]:
+            assert cli.main(["optimum", "--config", str(cfg), "--dmax", dmax]) == 2
+            assert "--dmax must be finite" in capsys.readouterr().err
 
     def test_missing_config_exit_two(self, capsys):
         assert cli.main(["sweep", "--config", "/nonexistent.txt"]) == 2

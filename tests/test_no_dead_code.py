@@ -13,9 +13,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "trotopt"
 
-# Kept without a caller: the tests use them as independent round-trip
-# references for the Choi reshuffle and the SDP variable parametrization.
-REFERENCE_ONLY = {"choi_to_super", "params_from_hermitian"}
+# Kept without a caller: the tests use it as an independent round-trip
+# reference for the Choi reshuffle.
+REFERENCE_ONLY = {"choi_to_super"}
 
 
 def _public_names(tree: ast.Module) -> list[str]:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trotopt import sdp
 from trotopt.channels import (
     AveragedTimingJitter,
     Decoherence,
@@ -20,8 +21,8 @@ from trotopt.channels import (
 from trotopt.hamiltonians import terms_from_text
 from trotopt.linalg import choi_from_super, partial_trace, super_to_choi, unitary_superop
 from trotopt.metrics import (
-    _diamond_sdp,
     diamond_distance,
+    diamond_norm_hp,
     diamond_distance_unitary,
     induced_trace_distance_heuristic,
     j_distance,
@@ -71,13 +72,38 @@ def test_sdp_matches_unitary_fast_path(d, seed):
 def test_weak_duality_at_every_iterate(d, seed):
     rng = np.random.default_rng(seed)
     choi = choi_from_super(random_channel(rng, d) - random_channel(rng, d))
-    sol = _diamond_sdp(0.5 * (choi + choi.conj().T), d, tol=1e-7, max_iter=200)
+    sol = sdp.solve(0.5 * (choi + choi.conj().T), tol=1e-7, max_iter=200)
     assert sol.status == "Optimal"
     assert len(sol.trace) == sol.iterations
     primals, duals = np.array(sol.trace).T
     assert np.all(primals >= duals)
     # every primal value bounds every dual value, not just its own iterate's
     assert duals.max() <= primals.min() + 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@PROPERTY
+@given(seed=SEEDS, c=st.floats(0.1, 10.0))
+def test_diamond_norm_scales_linearly(d, seed, c):
+    # the start depends on the scale of J; the certified value must not
+    rng = np.random.default_rng(seed)
+    phi = random_channel(rng, d) - random_channel(rng, d)
+    tol = 1e-7
+    # each value lies within tol above the true norm
+    assert diamond_norm_hp(c * phi, tol=tol) == pytest.approx(
+        c * diamond_norm_hp(phi, tol=tol), abs=max(c, 1.0) * tol
+    )
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@PROPERTY
+@given(seed=SEEDS)
+def test_identical_channels_certify_zero(d, seed):
+    channel = random_channel(np.random.default_rng(seed), d)
+    sol = sdp.solve(choi_from_super(channel - channel), tol=1e-7)
+    assert sol.status == "Optimal"
+    assert 0.0 <= sol.primal <= 1e-7
+    assert diamond_distance(channel, channel, tol=1e-7) <= 1e-7
 
 
 @PROPERTY

@@ -1,6 +1,6 @@
-"""Solver-level tests: eigenvalue problems with known answers, placement
-helpers, weak duality along the iteration, and the diamond-norm runtime
-budget."""
+"""Solver-level tests: the Newton block and its vec convention, SDPs with
+known answers, weak duality along the iteration, argument checks, and the
+diamond-norm runtime budget."""
 
 import time
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from trotopt import sdp
-from trotopt.linalg import unitary_superop
+from trotopt.linalg import choi_from_super, partial_trace, unitary_superop
 from trotopt.metrics import diamond_distance, diamond_distance_unitary
 
 
@@ -17,41 +17,70 @@ def random_hermitian(rng, d):
     return 0.5 * (g + g.conj().T)
 
 
+def random_pd(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return g @ g.conj().T + 0.1 * np.eye(d)
+
+
 def random_unitary(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def lambda_max_solution(a, tol=1e-9):
-    """min s subject to s*I - A >= 0."""
-    a = np.asarray(a, dtype=complex)
-    d = a.shape[0]
-    prob = sdp.SdpProblem()
-    s = prob.add_scalar()
-    blk = prob.add_block(d, const=-a)
-    prob.place_scalar(blk, s)
-    prob.set_objective_scalar(s, 1.0)
-    bound = float(np.max(np.sum(np.abs(a), axis=1))) + 1.0
-    return sdp.solve(prob, tol=tol, x0=np.array([bound]), z0=[np.eye(d, dtype=complex) / d])
+# Choi matrix of the map Z(.)Z - id, whose diamond norm is 2
+PHASE_FLIP = choi_from_super(unitary_superop(np.diag([1.0, -1.0]).astype(complex)) - np.eye(4))
+
+
+def tr_out_matrix(d):
+    """``P``: row-major ``vec(Z)`` -> ``vec(Tr_out Z)`` for ``Z`` on out (x) in."""
+    p = np.zeros((d * d, d**4))
+    for a in range(d):
+        for b in range(d):
+            for bp in range(d):
+                p[b * d + bp, (a * d + b) * d * d + a * d + bp] = 1.0
+    return p
+
+
+def newton_operator(g0, g1, g2, dz):
+    """The Newton block applied to a matrix: ``G0 dZ G0 + G1 dZ G1 + I (x) G2 Tr_out(dZ) G2``."""
+    d = g2.shape[0]
+    return g0 @ dz @ g0 + g1 @ dz @ g1 + np.kron(np.eye(d), g2 @ partial_trace(dz, (d, d), 1) @ g2)
+
+
+def random_scalings(rng, d):
+    return random_pd(rng, d * d), random_pd(rng, d * d), random_pd(rng, d)
 
 
 class TestParametrization:
     def test_round_trip(self):
-        # a placed variable evaluated at the parameters of m reproduces m
+        # the block acting on row-major vec(dZ) reproduces the operator on dZ
         rng = np.random.default_rng(11)
-        m = random_hermitian(rng, 5)
-        prob = sdp.SdpProblem()
-        prob.place_hermitian(prob.add_block(5), prob.add_hermitian(5))
-        [(n, f0, a)] = prob.compiled_blocks()
-        back = f0 + (a.T @ sdp.params_from_hermitian(m)).reshape(n, n, order="F")
-        assert np.max(np.abs(back - m)) < 1e-15
+        for d in (2, 3):
+            gs = random_scalings(rng, d)
+            dz = random_hermitian(rng, d * d)
+            back = (sdp._newton_block(*gs) @ dz.reshape(-1)).reshape(d * d, d * d)
+            want = newton_operator(*gs, dz)
+            assert np.max(np.abs(back - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_param_count(self):
-        prob = sdp.SdpProblem()
-        y = prob.add_hermitian(6)
-        assert y.n_params == 36
-        assert prob.n_params == 36
+        # one complex unknown per entry of dZ; the block is Hermitian positive definite
+        rng = np.random.default_rng(12)
+        for d in (1, 2, 3):
+            block = sdp._newton_block(*random_scalings(rng, d))
+            assert block.shape == (d**4, d**4)
+            assert np.max(np.abs(block - block.conj().T)) < 1e-12 * np.max(np.abs(block))
+            assert np.linalg.eigvalsh(block)[0] > 0.0
+
+
+def lambda_max_solution(a, tol=1e-9):
+    """Solve for ``J = |0><0| (x) A``, whose value is ``2 max(lambda_max(A), 0)``:
+    ``Z = |0><0| (x) A_+`` is feasible, and every feasible ``Z`` has
+    ``Tr_out Z >= <0|Z|0> >= A`` and ``Tr_out Z >= 0``."""
+    a = np.asarray(a, dtype=complex)
+    corner = np.zeros((a.shape[0], a.shape[0]))
+    corner[0, 0] = 1.0
+    return sdp.solve(np.kron(corner, a), tol=tol)
 
 
 class TestLambdaMax:
@@ -59,26 +88,28 @@ class TestLambdaMax:
         sol = lambda_max_solution(np.diag([1.0, 3.0, -2.0]), tol=1e-9)
         assert sol.status == "Optimal"
         assert sol.gap <= 1e-9
-        assert abs(sol.primal - 3.0) <= 1e-8
+        assert abs(sol.primal - 6.0) <= 1e-8
 
     def test_identity(self):
         sol = lambda_max_solution(np.eye(3), tol=1e-9)
         assert sol.status == "Optimal"
-        assert abs(sol.primal - 1.0) <= 1e-8
+        assert abs(sol.primal - 2.0) <= 1e-8
 
-    @pytest.mark.parametrize("d", [2, 5, 16, 40])
-    def test_random_hermitian(self, d):
-        rng = np.random.default_rng(100 + d)
-        a = random_hermitian(rng, d)
-        want = float(np.linalg.eigvalsh(a)[-1])
+    @pytest.mark.parametrize("scale", [2, 5, 16, 40])
+    def test_random_hermitian(self, scale):
+        # the start depends on the scale of J through beta
+        rng = np.random.default_rng(100 + scale)
+        a = scale * random_hermitian(rng, 3)
+        want = 2.0 * float(np.linalg.eigvalsh(a)[-1])
+        assert want > 0.0
         sol = lambda_max_solution(a, tol=1e-8)
         assert sol.status == "Optimal"
         assert abs(sol.primal - want) <= 1e-7
 
     def test_weak_duality_every_iterate(self):
         rng = np.random.default_rng(7)
-        a = random_hermitian(rng, 8)
-        want = float(np.linalg.eigvalsh(a)[-1])
+        a = random_hermitian(rng, 4)
+        want = 2.0 * max(float(np.linalg.eigvalsh(a)[-1]), 0.0)
         sol = lambda_max_solution(a, tol=1e-8)
         assert sol.status == "Optimal"
         assert len(sol.trace) == sol.iterations
@@ -90,106 +121,89 @@ class TestLambdaMax:
     def test_gap_is_primal_minus_dual(self):
         sol = lambda_max_solution(np.diag([0.0, 2.0]), tol=1e-9)
         assert sol.gap == pytest.approx(abs(sol.primal - sol.dual), abs=1e-15)
-
-
-def bounded_trace_problem(gamma, conjugate_by=None):
-    """min <Gamma, Y> over 0 <= Y <= I, optionally posing the PSD constraint
-    as U Y U^dag >= 0 through a linear placement (same feasible set)."""
-    d = gamma.shape[0]
-    prob = sdp.SdpProblem()
-    y = prob.add_hermitian(d)
-    b1 = prob.add_block(d)
-    if conjugate_by is None:
-        prob.place_hermitian(b1, y)
-    else:
-        u = conjugate_by
-        prob.place_linear(b1, y, lambda m: u @ m @ u.conj().T)
-    b2 = prob.add_block(d, const=np.eye(d, dtype=complex))
-    prob.place_hermitian(b2, y, coeff=-1.0)
-    prob.set_objective_matrix(y, gamma)
-    x0 = np.zeros(prob.n_params)
-    x0[y.start : y.start + d] = 0.5
-    return prob, x0
-
-
-def negative_part_sum(gamma):
-    evals = np.linalg.eigvalsh(gamma)
-    return float(evals[evals < 0.0].sum())
+        assert abs(sol.primal - 4.0) <= 1e-8
 
 
 class TestLinearPlacement:
     def test_negative_eigenvalue_sum(self):
+        # rho -> tr(rho) sigma with traceless sigma: the diamond norm is
+        # |sigma|_1, twice the magnitude of its negative eigenvalue sum
         rng = np.random.default_rng(21)
-        gamma = random_hermitian(rng, 4)
-        prob, x0 = bounded_trace_problem(gamma)
-        sol = sdp.solve(prob, tol=1e-9, x0=x0)
+        sigma = random_hermitian(rng, 4)
+        sigma -= np.trace(sigma) / 4 * np.eye(4)
+        evals = np.linalg.eigvalsh(sigma)
+        sol = sdp.solve(np.kron(sigma, np.eye(4)), tol=1e-9)
         assert sol.status == "Optimal"
-        assert abs(sol.primal - negative_part_sum(gamma)) <= 1e-7
+        assert abs(sol.primal + 2.0 * float(evals[evals < 0.0].sum())) <= 1e-7
 
     def test_linear_placement_matches_direct(self):
+        # the indexed placement of the Tr_out term equals P^T kron(G2, G2^T) P
         rng = np.random.default_rng(22)
-        gamma = random_hermitian(rng, 4)
-        u = random_unitary(rng, 4)
-        direct, x0 = bounded_trace_problem(gamma)
-        placed, x1 = bounded_trace_problem(gamma, conjugate_by=u)
-        sol_a = sdp.solve(direct, tol=1e-9, x0=x0)
-        sol_b = sdp.solve(placed, tol=1e-9, x0=x1)
-        assert sol_a.status == "Optimal"
-        assert sol_b.status == "Optimal"
-        assert abs(sol_a.primal - sol_b.primal) <= 1e-8
+        for d in (1, 2, 3):
+            g0, g1, g2 = random_scalings(rng, d)
+            p = tr_out_matrix(d)
+            direct = np.kron(g0, g0.T) + np.kron(g1, g1.T) + p.T @ np.kron(g2, g2.T) @ p
+            placed = sdp._newton_block(g0, g1, g2)
+            assert np.max(np.abs(placed - direct)) < 1e-12 * np.max(np.abs(direct))
 
     def test_conjugated_objective_invariant(self):
+        # unitaries before and after a map leave its diamond norm unchanged
         rng = np.random.default_rng(23)
-        gamma = random_hermitian(rng, 5)
-        u = random_unitary(rng, 5)
-        prob_a, x0a = bounded_trace_problem(gamma)
-        prob_b, x0b = bounded_trace_problem(u @ gamma @ u.conj().T)
-        sol_a = sdp.solve(prob_a, tol=1e-9, x0=x0a)
-        sol_b = sdp.solve(prob_b, tol=1e-9, x0=x0b)
+        mixed = 0.5 * (unitary_superop(random_unitary(rng, 2)) + unitary_superop(random_unitary(rng, 2)))
+        j = choi_from_super(mixed - unitary_superop(random_unitary(rng, 2)))
+        uv = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+        sol_a = sdp.solve(j, tol=1e-9)
+        sol_b = sdp.solve(uv @ j @ uv.conj().T, tol=1e-9)
+        assert sol_a.status == "Optimal"
+        assert sol_b.status == "Optimal"
         assert abs(sol_a.primal - sol_b.primal) <= 1e-8
 
 
 class TestValidation:
     def test_tol_positive(self):
-        prob, x0 = bounded_trace_problem(np.eye(2))
-        with pytest.raises(ValueError, match="tol"):
-            sdp.solve(prob, tol=0.0, x0=x0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="tol"):
+                sdp.solve(PHASE_FLIP, tol=tol)
+
+    def test_choi_shape_checked(self):
+        with pytest.raises(ValueError, match="d\\^2 x d\\^2"):
+            sdp.solve(np.zeros((3, 3)), tol=1e-7)
 
     def test_no_variables(self):
-        with pytest.raises(ValueError, match="variable"):
-            sdp.solve(sdp.SdpProblem(), tol=1e-8)
+        # d = 0 leaves no Z to optimize over
+        with pytest.raises(ValueError, match="d >= 1"):
+            sdp.solve(np.zeros((0, 0)), tol=1e-7)
 
     def test_no_blocks(self):
-        prob = sdp.SdpProblem()
-        prob.add_scalar()
-        with pytest.raises(ValueError, match="block"):
-            sdp.solve(prob, tol=1e-8)
-
-    def test_block_dimension_cap(self):
-        prob = sdp.SdpProblem()
-        with pytest.raises(ValueError, match="block dimension"):
-            prob.add_block(sdp.MAX_BLOCK_DIM + 1)
+        # an array that is not a matrix defines none of the three blocks
+        for shape in ((), (4,), (1, 4, 4)):
+            with pytest.raises(ValueError, match="d\\^2 x d\\^2"):
+                sdp.solve(np.zeros(shape), tol=1e-7)
 
     def test_constant_must_be_hermitian(self):
-        prob = sdp.SdpProblem()
-        with pytest.raises(ValueError, match="Hermitian"):
-            prob.add_block(2, const=np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # J is the constant term of the block Z - J
+        bad = PHASE_FLIP.astype(complex)
+        bad[0, 1] = 1.0
+        for j in (bad, np.full((4, 4), np.nan), np.full((4, 4), np.inf)):
+            with pytest.raises(ValueError, match="Hermitian"):
+                sdp.solve(j, tol=1e-7)
 
-    def test_infeasible_start_reported(self):
-        a = np.diag([1.0, 3.0, -2.0])
-        d = a.shape[0]
-        prob = sdp.SdpProblem()
-        s = prob.add_scalar()
-        blk = prob.add_block(d, const=-a)
-        prob.place_scalar(blk, s)
-        prob.set_objective_scalar(s, 1.0)
-        sol = sdp.solve(prob, tol=1e-9, x0=np.array([0.0]))
-        assert sol.status == "NumericalFailure"
 
-    def test_dual_start_shape_checked(self):
-        prob, x0 = bounded_trace_problem(np.eye(2))
-        with pytest.raises(ValueError, match="dual start"):
-            sdp.solve(prob, tol=1e-8, x0=x0, z0=[np.eye(3), np.eye(2)])
+class TestSolution:
+    def test_certified_value_and_trace(self):
+        sol = sdp.solve(PHASE_FLIP, tol=1e-9)
+        assert sol.status == "Optimal"
+        assert abs(sol.primal - 2.0) <= 1e-8
+        assert sol.gap == pytest.approx(abs(sol.primal - sol.dual), abs=1e-15)
+        assert sol.gap <= 1e-9
+        assert len(sol.trace) == sol.iterations
+        assert sol.trace[-1] == (sol.primal, sol.dual)
+
+    def test_iteration_cap_keeps_bounds(self):
+        sol = sdp.solve(PHASE_FLIP, tol=1e-9, max_iter=2)
+        assert sol.status == "IterationCap"
+        assert sol.iterations == 2
+        assert sol.dual <= 2.0 <= sol.primal
 
 
 class TestDiamondThroughSolver:

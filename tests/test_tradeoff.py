@@ -212,6 +212,8 @@ class TestMaxSimulationTime:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="sigma"):
             max_simulation_time(0.1, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="distance_budget"):
+            max_simulation_time(float("nan"), 1.0, 1.0, 0.1)
 
 
 # a dimension whose 2/d^2 is below double precision: the large-d limit
