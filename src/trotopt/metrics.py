@@ -324,11 +324,15 @@ def diamond_distance_unitary(u: np.ndarray, v: np.ndarray) -> float:
     return min(2.0 * radius, 2.0)
 
 
-# Each iteration of the diamond SDP solves a dense complex Newton system of
-# size d^4 + 1; at d = 8 (4097 unknowns) that takes about 5 s on one core,
-# and one solve of a random unitary difference took 26 iterations, 130 s and
-# 1.1 GB peak, so the diamond metric stops at two qubits.
-DIAMOND_MAX_DIM = 4
+# One iteration of the diamond SDP costs O(d^8) time and O(d^6) memory.  On
+# one core a random 3-qubit (d = 8) unitary difference certifies at tol 1e-7
+# in 19 iterations, 0.7 s and 59 MB peak.  At d = 16 one iteration takes
+# about 3 s and the solve 1.1 GB peak: a random unitary difference took 20
+# iterations and 55 s, and the 4-qubit Ising jitter defect map stopped with
+# NumericalFailure after 68 iterations at gap 1.1e-7.  So each point of a
+# 4-qubit sweep would take a minute or more, and the diamond metric stops at
+# three qubits.
+DIAMOND_MAX_DIM = 8
 
 
 def diamond_norm_hp(phi: np.ndarray, tol: float = 1e-7, max_iter: int = sdp.DEFAULT_MAX_ITER) -> float:

@@ -154,7 +154,7 @@ def test_04_predicted_optimum_matches_measured():
         "04 optimum location and value (8 noise/metric pairs)",
         not failures,
         elapsed,
-        120.0,
+        30.0,
     ), failures
 
 

@@ -205,10 +205,10 @@ class TestBuildConfig:
             small_config(n_grid=(0, 1))
 
     def test_metric_dimension_checked_at_construction(self):
-        three_qubits = tuple(ising_chain(3))
-        with pytest.raises(ConfigError, match="diamond supports dimension <= 4"):
-            small_config(terms=three_qubits, metrics=(JDistance(), Diamond()))
-        assert small_config(terms=three_qubits, metrics=(JDistance(),)).dim == 8
+        four_qubits = tuple(ising_chain(4))
+        with pytest.raises(ConfigError, match="diamond supports dimension <= 8"):
+            small_config(terms=four_qubits, metrics=(JDistance(), Diamond()))
+        assert small_config(terms=four_qubits, metrics=(JDistance(),)).dim == 16
 
 
 class TestSeedsAndHash:
@@ -467,6 +467,30 @@ class TestCli:
         assert cli.main(["benchmarks", "--dim", "2"]) == 0
         assert "all checks passed" in capsys.readouterr().out
 
+    def test_benchmarks_three_qubits(self, capsys):
+        assert cli.main(["benchmarks", "--dim", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "all checks passed" in out
+        line = next(row for row in out.splitlines() if "live diamond distance" in row)
+        assert abs(float(line.split("=")[1].split()[0]) - (2.0 - 2.0 / 64)) <= 1e-7
+
+    def test_three_qubit_diamond_sweep(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "hamiltonian = ising:3\nnoise = avg-jitter:0.01\n"
+            "metrics = j,diamond,heuristic\nn_grid = 1,8\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[2:]]
+        values = {(int(n), metric): float(value) for n, metric, value, *_ in rows}
+        assert {row[-1] for row in rows} == {"ok"}
+        for n in (1, 8):
+            j, diamond, heuristic = (values[n, m] for m in ("j", "diamond", "heuristic"))
+            assert j <= diamond <= min(2.0, 8.0 * j) + 1e-7
+            assert heuristic <= diamond + 1e-7
+
     def test_sweep_writes_csv(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(
@@ -548,11 +572,11 @@ class TestCli:
     def test_benchmarks_dim_validated(self, capsys):
         assert cli.main(["benchmarks", "--dim", "1"]) == 2
         assert "--dim" in capsys.readouterr().err
-        assert cli.main(["benchmarks", "--dim", "5"]) == 2
-        assert "dimension <= 4" in capsys.readouterr().err
+        assert cli.main(["benchmarks", "--dim", "9"]) == 2
+        assert "dimension <= 8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["sweep", "optimum"])
-    @pytest.mark.parametrize("sites", [3, 4])
+    @pytest.mark.parametrize("sites", [4])
     def test_diamond_dimension_limit_exit_two(self, command, sites, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("the diamond SDP must not be set up")
@@ -564,7 +588,7 @@ class TestCli:
         )
         assert cli.main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "diamond supports dimension <= 4" in err
+        assert "diamond supports dimension <= 8 (3 qubits)" in err
         assert f"got dimension {2**sites}" in err
 
     def test_optimum_stdout(self, capsys, tmp_path):

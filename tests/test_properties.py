@@ -45,65 +45,89 @@ def random_channel(rng, d):
     return sum(np.kron(k.conj(), k) for k in kraus)
 
 
-@pytest.mark.parametrize("d", [2, 4])
-@PROPERTY
-@given(seed=SEEDS)
-def test_diamond_between_j_and_its_upper_bound(d, seed):
-    rng = np.random.default_rng(seed)
-    ta, tb = random_channel(rng, d), random_channel(rng, d)
-    j = j_distance(ta, tb)
-    diamond = diamond_distance(ta, tb, tol=1e-7)
-    assert j - 1e-7 <= diamond <= min(2.0, d * j) + 1e-7
+DIAMOND_DIMS = [2, 4, 8]
 
 
-@pytest.mark.parametrize("d", [2, 4])
-@PROPERTY
-@given(seed=SEEDS)
-def test_sdp_matches_unitary_fast_path(d, seed):
-    rng = np.random.default_rng(seed)
-    u, v = random_unitary(rng, d), random_unitary(rng, d)
-    via_sdp = diamond_distance(unitary_superop(u), unitary_superop(v), tol=1e-7)
-    assert via_sdp == pytest.approx(diamond_distance_unitary(u, v), abs=1e-6)
+def examples(d):
+    """12 derandomized examples at d = 2 and 4; 2 at d = 8, where one
+    diamond solve takes about a second."""
+    return settings(PROPERTY, max_examples=12 if d < 8 else 2)
 
 
-@pytest.mark.parametrize("d", [2, 4])
-@PROPERTY
-@given(seed=SEEDS)
-def test_weak_duality_at_every_iterate(d, seed):
-    rng = np.random.default_rng(seed)
-    choi = choi_from_super(random_channel(rng, d) - random_channel(rng, d))
-    sol = sdp.solve(0.5 * (choi + choi.conj().T), tol=1e-7, max_iter=200)
-    assert sol.status == "Optimal"
-    assert len(sol.trace) == sol.iterations
-    primals, duals = np.array(sol.trace).T
-    assert np.all(primals >= duals)
-    # every primal value bounds every dual value, not just its own iterate's
-    assert duals.max() <= primals.min() + 1e-9
+@pytest.mark.parametrize("d", DIAMOND_DIMS)
+def test_diamond_between_j_and_its_upper_bound(d):
+    @examples(d)
+    @given(seed=SEEDS)
+    def check(seed):
+        rng = np.random.default_rng(seed)
+        ta, tb = random_channel(rng, d), random_channel(rng, d)
+        j = j_distance(ta, tb)
+        diamond = diamond_distance(ta, tb, tol=1e-7)
+        assert j - 1e-7 <= diamond <= min(2.0, d * j) + 1e-7
+
+    check()
 
 
-@pytest.mark.parametrize("d", [2, 4])
-@PROPERTY
-@given(seed=SEEDS, c=st.floats(0.1, 10.0))
-def test_diamond_norm_scales_linearly(d, seed, c):
+@pytest.mark.parametrize("d", DIAMOND_DIMS)
+def test_sdp_matches_unitary_fast_path(d):
+    @examples(d)
+    @given(seed=SEEDS)
+    def check(seed):
+        rng = np.random.default_rng(seed)
+        u, v = random_unitary(rng, d), random_unitary(rng, d)
+        via_sdp = diamond_distance(unitary_superop(u), unitary_superop(v), tol=1e-7)
+        assert via_sdp == pytest.approx(diamond_distance_unitary(u, v), abs=1e-6)
+
+    check()
+
+
+@pytest.mark.parametrize("d", DIAMOND_DIMS)
+def test_weak_duality_at_every_iterate(d):
+    @examples(d)
+    @given(seed=SEEDS)
+    def check(seed):
+        rng = np.random.default_rng(seed)
+        choi = choi_from_super(random_channel(rng, d) - random_channel(rng, d))
+        sol = sdp.solve(0.5 * (choi + choi.conj().T), tol=1e-7, max_iter=200)
+        assert sol.status == "Optimal"
+        assert len(sol.trace) == sol.iterations
+        primals, duals = np.array(sol.trace).T
+        assert np.all(primals >= duals)
+        # every primal value bounds every dual value, not just its own iterate's
+        assert duals.max() <= primals.min() + 1e-9
+
+    check()
+
+
+@pytest.mark.parametrize("d", DIAMOND_DIMS)
+def test_diamond_norm_scales_linearly(d):
     # the start depends on the scale of J; the certified value must not
-    rng = np.random.default_rng(seed)
-    phi = random_channel(rng, d) - random_channel(rng, d)
-    tol = 1e-7
-    # each value lies within tol above the true norm
-    assert diamond_norm_hp(c * phi, tol=tol) == pytest.approx(
-        c * diamond_norm_hp(phi, tol=tol), abs=max(c, 1.0) * tol
-    )
+    @examples(d)
+    @given(seed=SEEDS, c=st.floats(0.1, 10.0))
+    def check(seed, c):
+        rng = np.random.default_rng(seed)
+        phi = random_channel(rng, d) - random_channel(rng, d)
+        tol = 1e-7
+        # each value lies within tol above the true norm
+        assert diamond_norm_hp(c * phi, tol=tol) == pytest.approx(
+            c * diamond_norm_hp(phi, tol=tol), abs=max(c, 1.0) * tol
+        )
+
+    check()
 
 
-@pytest.mark.parametrize("d", [2, 4])
-@PROPERTY
-@given(seed=SEEDS)
-def test_identical_channels_certify_zero(d, seed):
-    channel = random_channel(np.random.default_rng(seed), d)
-    sol = sdp.solve(choi_from_super(channel - channel), tol=1e-7)
-    assert sol.status == "Optimal"
-    assert 0.0 <= sol.primal <= 1e-7
-    assert diamond_distance(channel, channel, tol=1e-7) <= 1e-7
+@pytest.mark.parametrize("d", DIAMOND_DIMS)
+def test_identical_channels_certify_zero(d):
+    @examples(d)
+    @given(seed=SEEDS)
+    def check(seed):
+        channel = random_channel(np.random.default_rng(seed), d)
+        sol = sdp.solve(choi_from_super(channel - channel), tol=1e-7)
+        assert sol.status == "Optimal"
+        assert 0.0 <= sol.primal <= 1e-7
+        assert diamond_distance(channel, channel, tol=1e-7) <= 1e-7
+
+    check()
 
 
 @PROPERTY
