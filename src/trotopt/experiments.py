@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -355,13 +356,14 @@ def tradeoff_coefficients(config: ExperimentConfig, metric: Metric) -> tuple[flo
 
 
 def _map_grid(point, config: ExperimentConfig, jobs: int, *args) -> list[tuple]:
-    """Rows of ``point(config, *args, index)`` over every grid index, on
-    ``jobs`` worker processes when ``jobs > 1``; rows come back in grid
-    order either way."""
+    """Rows of ``point(config, *args, index)`` over every grid index, on up
+    to ``jobs`` worker processes, never more than there are grid points or
+    CPUs; rows come back in grid order either way."""
     task = partial(point, config, *args)
     indices = range(len(config.n_grid))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(indices), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(task, indices))
     else:
         chunks = map(task, indices)

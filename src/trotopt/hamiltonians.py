@@ -15,6 +15,7 @@ factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,10 @@ def _parse_term(piece: str, pos: int, n_sites: int) -> tuple[float, str]:
             raise HamiltonianFormatError(
                 f"expected a real coefficient, got {tokens[0]!r}", pos + 1
             ) from None
+        if not math.isfinite(coeff):
+            raise HamiltonianFormatError(
+                f"coefficient must be finite, got {tokens[0]!r}", pos + 1
+            )
         word = tokens[1]
         word_pos = pos + term.rfind(tokens[1])
     else:

@@ -30,7 +30,7 @@ def require_hermitian(m: np.ndarray, name: str = "matrix", atol: float = HERMITI
     """Return ``m`` as an ndarray, raising ``ValueError`` if it is not Hermitian."""
     m = _as_square(m, name)
     dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if dev > atol:
+    if not dev <= atol:
         raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} > {atol:.1e}")
     return m
 

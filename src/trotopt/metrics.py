@@ -5,8 +5,9 @@ Trace distances here follow the unhalved convention
 channel-level measures: the J-distance is the trace distance of normalized
 Choi states and the diamond distance the completely-bounded (stabilized)
 norm of the difference map.  For a pair of unitary channels the diamond
-distance collapses to the diameter of the smallest circle enclosing the
-eigenvalues of ``U V^dag``, which avoids the SDP entirely.
+distance collapses to the chord spanning the shortest arc of the unit circle
+that holds the eigenvalues of ``U V^dag`` (2 when no arc shorter than pi
+holds them), which avoids the SDP entirely.
 
 The unstabilized induced trace norm has no closed form; it is estimated by
 multistart alternating ascent over pure input states and always reported as
@@ -16,7 +17,6 @@ a lower bound.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,113 +189,6 @@ def noise_benchmarks(d: int) -> tuple[float, float]:
     return 2.0 - 2.0 / d, 2.0 - 2.0 / (d * d)
 
 
-# -- smallest enclosing circle -------------------------------------------
-
-_EPS = 1e-14
-
-
-def _contains(circle, p) -> bool:
-    cx, cy, r = circle
-    return np.hypot(p[0] - cx, p[1] - cy) <= r * (1.0 + _EPS) + _EPS
-
-
-def _diameter_circle(p, q):
-    cx = (p[0] + q[0]) / 2.0
-    cy = (p[1] + q[1]) / 2.0
-    return (cx, cy, max(np.hypot(p[0] - cx, p[1] - cy), np.hypot(q[0] - cx, q[1] - cy)))
-
-
-def _circumcircle(a, b, c):
-    # offset by the bounding-box midpoint for numerical stability
-    ox = (min(a[0], b[0], c[0]) + max(a[0], b[0], c[0])) / 2.0
-    oy = (min(a[1], b[1], c[1]) + max(a[1], b[1], c[1])) / 2.0
-    ax, ay = a[0] - ox, a[1] - oy
-    bx, by = b[0] - ox, b[1] - oy
-    cx, cy = c[0] - ox, c[1] - oy
-    det = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
-    if det == 0.0:
-        return None
-    ux = (
-        (ax * ax + ay * ay) * (by - cy)
-        + (bx * bx + by * by) * (cy - ay)
-        + (cx * cx + cy * cy) * (ay - by)
-    ) / det
-    uy = (
-        (ax * ax + ay * ay) * (cx - bx)
-        + (bx * bx + by * by) * (ax - cx)
-        + (cx * cx + cy * cy) * (bx - ax)
-    ) / det
-    x, y = ox + ux, oy + uy
-    r = max(np.hypot(x - p[0], y - p[1]) for p in (a, b, c))
-    return (x, y, r)
-
-
-def _two_boundary(points, p, q):
-    circ = _diameter_circle(p, q)
-    left = None
-    right = None
-    px, py = p
-    qx, qy = q
-    for r in points:
-        if _contains(circ, r):
-            continue
-        cross = (qx - px) * (r[1] - py) - (qy - py) * (r[0] - px)
-        c = _circumcircle(p, q, r)
-        if c is None:
-            continue
-        side = (qx - px) * (c[1] - py) - (qy - py) * (c[0] - px)
-        if cross > 0.0 and (
-            left is None
-            or side > (qx - px) * (left[1] - py) - (qy - py) * (left[0] - px)
-        ):
-            left = c
-        elif cross < 0.0 and (
-            right is None
-            or side < (qx - px) * (right[1] - py) - (qy - py) * (right[0] - px)
-        ):
-            right = c
-    if left is None and right is None:
-        return circ
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return left if left[2] <= right[2] else right
-
-
-def _one_boundary(points, p):
-    circ = (p[0], p[1], 0.0)
-    for i, q in enumerate(points):
-        if _contains(circ, q):
-            continue
-        if circ[2] == 0.0:
-            circ = _diameter_circle(p, q)
-        else:
-            circ = _two_boundary(points[: i + 1], p, q)
-    return circ
-
-
-def smallest_enclosing_circle(
-    points,
-) -> tuple[tuple[float, float], float]:
-    """Smallest circle containing all the given 2D points.
-
-    Randomized incremental (Welzl-style) construction in expected linear
-    time; the shuffle uses a fixed seed, so results are deterministic.
-    Returns ``((cx, cy), radius)``.
-    """
-    pts = [(float(p[0]), float(p[1])) for p in points]
-    if not pts:
-        raise ValueError("smallest_enclosing_circle needs at least one point")
-    shuffled = list(pts)
-    random.Random(0x5EC).shuffle(shuffled)
-    circ = None
-    for i, p in enumerate(shuffled):
-        if circ is None or not _contains(circ, p):
-            circ = _one_boundary(shuffled[:i], p)
-    return (circ[0], circ[1]), circ[2]
-
-
 # -- diamond distance ----------------------------------------------------
 
 
@@ -304,24 +197,31 @@ def _check_unitary(u: np.ndarray, name: str) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"{name} must be square, got shape {u.shape}")
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if dev > 1e-9:
+    if not dev <= 1e-9:
         raise ValueError(f"{name} is not unitary: max |U^dag U - I| = {dev:.3e}")
     return u
 
 
 def diamond_distance_unitary(u: np.ndarray, v: np.ndarray) -> float:
-    """Diamond distance between two unitary channels.
+    """Diamond distance between two unitary channels, in closed form.
 
-    Equals the diameter of the smallest circle enclosing the eigenvalues of
-    ``U V^dag`` in the complex plane, so no SDP is needed.
+    The eigenvalues of ``U V^dag`` lie on the unit circle.  If they fit in an
+    arc shorter than pi, the distance is the chord joining the arc's two
+    ends; otherwise it is 2.  No SDP is needed.
     """
     u = _check_unitary(u, "first unitary")
     v = _check_unitary(v, "second unitary")
     if u.shape != v.shape:
         raise ValueError(f"unitary dimensions differ: {u.shape} vs {v.shape}")
     evals = np.linalg.eigvals(u @ v.conj().T)
-    _, radius = smallest_enclosing_circle(np.column_stack([evals.real, evals.imag]))
-    return min(2.0 * radius, 2.0)
+    evals = evals[np.argsort(np.angle(evals))]
+    angles = np.angle(evals)
+    # the largest gap between neighbouring angles, the wrap-around one last
+    gaps = np.diff(angles, append=angles[0] + 2.0 * math.pi)
+    k = int(np.argmax(gaps))
+    if gaps[k] <= math.pi:
+        return 2.0
+    return min(float(abs(evals[k] - evals[(k + 1) % evals.size])), 2.0)
 
 
 # One iteration of the diamond SDP costs O(d^8) time and O(d^6) memory.  On

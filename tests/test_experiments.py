@@ -261,6 +261,31 @@ class TestSweep:
         config = small_config(n_grid=(1, 2, 4, 8))
         assert sweep_rows(config, jobs=2) == sweep_rows(config, jobs=1)
 
+    def test_workers_capped_by_grid(self, monkeypatch):
+        # a million requested workers become one per grid point or per CPU
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("trotopt.experiments.ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("trotopt.experiments.os.cpu_count", lambda: 64)
+        config = small_config(n_grid=(1, 2, 4))
+        assert sweep_rows(config, jobs=10**6) == sweep_rows(config, jobs=1)
+        monkeypatch.setattr("trotopt.experiments.os.cpu_count", lambda: 2)
+        sweep_rows(config, jobs=10**6)
+        assert started == [3, 2]
+
     def test_failed_solve_reports_certified_bound(self, monkeypatch):
         def fail_at_first_iterate(j, **kw):
             # a solve that fails before any primal value
@@ -558,6 +583,26 @@ class TestCli:
         for dmax in ["nan", "inf", "-1"]:
             assert cli.main(["optimum", "--config", str(cfg), "--dmax", dmax]) == 2
             assert "--dmax must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "montecarlo", "optimum"])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_validated(self, command, jobs, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("no config may be built")
+
+        monkeypatch.setattr(cli, "build_config", never)
+        assert cli.main([command, "--jobs", jobs]) == 2
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
+    def test_non_finite_coefficient_exit_two(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("no channel may be built")
+
+        monkeypatch.setattr("trotopt.experiments.faulty_trotter", never)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("hamiltonian = 1 | nan x | z\nn_grid = 1,2\n", encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        assert "coefficient must be finite, got 'nan'" in capsys.readouterr().err
 
     def test_missing_config_exit_two(self, capsys):
         assert cli.main(["sweep", "--config", "/nonexistent.txt"]) == 2

@@ -118,6 +118,12 @@ class TestParser:
         with pytest.raises(HamiltonianFormatError, match="coefficient"):
             parse_hamiltonian_spec("2 | abc xx")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_coefficient_reports_its_column(self, token):
+        text = f"1 | {token} x | z"
+        with pytest.raises(HamiltonianFormatError, match="column 5: coefficient must be finite"):
+            parse_hamiltonian_spec(text)
+
     def test_empty_term(self):
         with pytest.raises(HamiltonianFormatError, match="empty term"):
             parse_hamiltonian_spec("2 | xx ; ; zz")

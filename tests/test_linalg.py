@@ -91,6 +91,11 @@ class TestHermitianExp:
         with pytest.raises(ValueError, match="not Hermitian"):
             linalg.hermitian_exp(m, 1.0)
 
+    def test_rejects_nan(self):
+        m = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.hermitian_exp(m, 1.0)
+
 
 class TestTraceNorm:
     def test_known_values(self):

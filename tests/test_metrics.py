@@ -1,9 +1,10 @@
 """Distance-layer tests.
 
-Closed-form answers are checked directly; the unitary diamond fast path is
-additionally checked against a brute-force maximization over ancilla-assisted
-pure inputs, and the smallest-enclosing-circle routine against an exhaustive
-pair/triple search.
+Closed-form answers are checked directly; the unitary diamond fast path (the
+chord of the shortest eigenvalue arc) is additionally checked against a
+brute-force maximization over ancilla-assisted pure inputs, and against the
+diameter of the smallest circle enclosing the eigenvalues, found by an
+exhaustive pair/triple search.
 """
 
 import itertools
@@ -26,7 +27,6 @@ from trotopt.metrics import (
     j_distance,
     j_norm,
     noise_benchmarks,
-    smallest_enclosing_circle,
     trace_distance,
 )
 
@@ -123,62 +123,6 @@ def brute_force_circle(points):
     return best
 
 
-class TestSmallestEnclosingCircle:
-    def test_single_point(self):
-        (cx, cy), r = smallest_enclosing_circle([(3.0, -1.0)])
-        assert (cx, cy, r) == (3.0, -1.0, 0.0)
-
-    def test_two_points(self):
-        (cx, cy), r = smallest_enclosing_circle([(0.0, 0.0), (2.0, 0.0)])
-        assert (cx, cy) == pytest.approx((1.0, 0.0), abs=1e-12)
-        assert r == pytest.approx(1.0, abs=1e-12)
-
-    def test_obtuse_triangle_uses_diameter(self):
-        # the long side dominates, the third point sits inside its circle
-        pts = [(0.0, 0.0), (4.0, 0.0), (2.0, 0.5)]
-        (cx, cy), r = smallest_enclosing_circle(pts)
-        assert (cx, cy) == pytest.approx((2.0, 0.0), abs=1e-12)
-        assert r == pytest.approx(2.0, abs=1e-12)
-
-    def test_equilateral_triangle(self):
-        pts = [(np.cos(a), np.sin(a)) for a in (0.0, 2 * np.pi / 3, 4 * np.pi / 3)]
-        (cx, cy), r = smallest_enclosing_circle(pts)
-        assert (cx, cy) == pytest.approx((0.0, 0.0), abs=1e-12)
-        assert r == pytest.approx(1.0, abs=1e-12)
-
-    def test_duplicate_points(self):
-        (cx, cy), r = smallest_enclosing_circle([(1.0, 1.0)] * 5 + [(1.0, 3.0)])
-        assert (cx, cy) == pytest.approx((1.0, 2.0), abs=1e-12)
-        assert r == pytest.approx(1.0, abs=1e-12)
-
-    def test_collinear_points(self):
-        pts = [(float(k), 2.0 * float(k)) for k in range(7)]
-        (cx, cy), r = smallest_enclosing_circle(pts)
-        assert (cx, cy) == pytest.approx((3.0, 6.0), abs=1e-9)
-        assert r == pytest.approx(3.0 * np.sqrt(5.0), abs=1e-9)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_against_brute_force(self, seed):
-        rng = np.random.default_rng(500 + seed)
-        n = int(rng.integers(3, 12))
-        pts = [tuple(xy) for xy in rng.standard_normal((n, 2))]
-        (cx, cy), r = smallest_enclosing_circle(pts)
-        bx, by, br = brute_force_circle(pts)
-        assert r == pytest.approx(br, abs=1e-9)
-        assert (cx, cy) == pytest.approx((bx, by), abs=1e-7)
-        for x, y in pts:
-            assert np.hypot(x - cx, y - cy) <= r + 1e-9
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(42)
-        pts = [tuple(xy) for xy in rng.standard_normal((30, 2))]
-        assert smallest_enclosing_circle(pts) == smallest_enclosing_circle(list(pts))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one point"):
-            smallest_enclosing_circle([])
-
-
 def ancilla_grid_max(u, v, n_alpha=81, n_phi=64):
     """Max output trace norm over a grid of Schmidt-form ancilla-assisted
     pure inputs; a lower bound on the diamond distance of the two unitary
@@ -228,9 +172,9 @@ class TestDiamondUnitary:
         )
 
     def test_orthogonal_pair_saturates(self):
-        assert diamond_distance_unitary(SX, np.eye(2, dtype=complex)) == pytest.approx(
-            2.0, abs=1e-12
-        )
+        # both spectra are {1, -1}, exactly a half circle
+        for u in (SX, np.diag([1.0, -1.0]).astype(complex)):
+            assert diamond_distance_unitary(u, np.eye(2, dtype=complex)) == 2.0
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
@@ -239,6 +183,52 @@ class TestDiamondUnitary:
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError, match="differ"):
             diamond_distance_unitary(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+
+    def test_rejects_nan_unitary(self):
+        u = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(ValueError, match="not unitary"):
+            diamond_distance_unitary(u, np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_matches_brute_force_circle(self, d):
+        # the arc chord is the diameter of the smallest circle enclosing the
+        # eigenvalues of U V^dag, capped at 2
+        rng = np.random.default_rng(900 + d)
+        for k in range(6):
+            u = random_unitary(rng, d)
+            if k % 2:
+                v = random_unitary(rng, d)
+            else:
+                # near-identity pair V = U exp(i eps H), eps growing with k
+                h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                evals, evecs = np.linalg.eigh(h + h.conj().T)
+                eps = 0.1 * (k + 1) / np.sqrt(d)
+                v = u @ (evecs * np.exp(1j * eps * evals)) @ evecs.conj().T
+            spectrum = np.linalg.eigvals(u @ v.conj().T)
+            _, _, r = brute_force_circle([(z.real, z.imag) for z in spectrum])
+            assert diamond_distance_unitary(u, v) == pytest.approx(min(2.0 * r, 2.0), abs=1e-9)
+
+    def test_eigenphases_straddle_branch_cut(self):
+        # np.angle puts +3 and -3 at opposite ends of its range; the short
+        # arc between them crosses -1 and has length 2 (pi - 3)
+        u = np.diag(np.exp([3.0j, -3.0j]))
+        val = diamond_distance_unitary(u, np.eye(2, dtype=complex))
+        assert val == pytest.approx(2.0 * np.sin(np.pi - 3.0), abs=1e-12)
+
+    def test_spread_spectrum_saturates(self):
+        # cube roots of unity: every gap is 2 pi / 3 < pi, so no short arc
+        u = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+        assert diamond_distance_unitary(u, np.eye(3, dtype=complex)) == 2.0
+
+    def test_degenerate_spectrum(self):
+        # four eigenvalues at 1 and two at exp(0.8i): the arc has length 0.8
+        u = np.diag(np.exp(1j * np.array([0.0, 0.0, 0.8, 0.0, 0.8, 0.0])))
+        val = diamond_distance_unitary(u, np.eye(6, dtype=complex))
+        assert val == pytest.approx(2.0 * np.sin(0.4), abs=1e-12)
+
+    def test_dimension_one_is_zero(self):
+        u = np.array([[np.exp(2.5j)]])
+        assert diamond_distance_unitary(u, np.array([[1.0 + 0j]])) == 0.0
 
 
 class TestJDistance:
