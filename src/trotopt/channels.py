@@ -18,6 +18,11 @@ formula:
   ``1 - exp(-gamma * t / a)`` after the full product, modelling background
   decay that cares about wall-clock time only.
 
+Each model carries everything the package asks of it: its config spelling
+``name`` (the keys of :data:`NOISES`), its ``channel(plan, rng)`` and its
+``costs(strengths, t, a, dim)``, the ``(step_cost, noise_cost, floor)``
+coefficients of the step-number bound in :mod:`trotopt.tradeoff`.
+
 All supermatrices use the column-stacking convention of
 :mod:`trotopt.linalg`.  Sampled-jitter randomness flows through one
 caller-supplied ``numpy.random.Generator`` per circuit run (default PCG64);
@@ -31,6 +36,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import get_args
 
 import numpy as np
 
@@ -96,25 +102,46 @@ class TrotterPlan:
 
 
 @dataclass(frozen=True)
-class TimingJitter:
-    """Sampled mistimed control: iid Gaussian duration errors on every gate."""
+class _GateJitter:
+    """Gaussian gate-duration error of width ``sigma``; the bound sees it
+    through the effective width ``a * sigma``."""
 
     sigma: float
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+
+    def costs(self, strengths, t: float, a: float, dim: int) -> tuple[float, float, float]:
+        commutator_strength, jitter_strength = strengths
+        sigma = a * self.sigma
+        return commutator_strength * t * t / 2.0, jitter_strength * sigma * sigma, 0.0
 
 
 @dataclass(frozen=True)
-class AveragedTimingJitter:
+class TimingJitter(_GateJitter):
+    """Sampled mistimed control: iid Gaussian duration errors on every gate."""
+
+    name = "jitter"
+
+    def channel(self, plan: TrotterPlan, rng: np.random.Generator | None) -> np.ndarray:
+        if rng is None:
+            raise ValueError("sampled timing jitter needs an rng; pass a seeded Generator")
+        return unitary_superop(sampled_trotter_unitary(plan, self.sigma, (rng,))[0])
+
+
+@dataclass(frozen=True)
+class AveragedTimingJitter(_GateJitter):
     """Gaussian-averaged mistimed control (the mean channel over jitter draws)."""
 
-    sigma: float
+    name = "avg-jitter"
 
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+    def channel(self, plan: TrotterPlan, rng: np.random.Generator | None) -> np.ndarray:
+        step = np.eye(plan.dim**2, dtype=complex)
+        for h in plan.terms:
+            err = averaged_jitter_superop(h, plan.a * self.sigma)
+            step = err @ evolution_superop(h, plan.tau) @ step
+        return np.linalg.matrix_power(step, plan.n)
 
 
 @dataclass(frozen=True)
@@ -122,10 +149,21 @@ class Depolarizing:
     """Depolarizing noise of strength ``p`` once per Trotter step."""
 
     p: float
+    name = "depol"
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
+
+    def channel(self, plan: TrotterPlan, rng: np.random.Generator | None) -> np.ndarray:
+        step = depolarizing_superop(self.p, plan.dim) @ unitary_superop(trotter_step_unitary(plan))
+        return np.linalg.matrix_power(step, plan.n)
+
+    def costs(self, strengths, t: float, a: float, dim: int) -> tuple[float, float, float]:
+        """The surviving fraction ``1 - p`` discounts the splitting error; each
+        step pays the full depolarizing distance ``p * (2 - 2/dim**2)``."""
+        step_cost = (1.0 - self.p) * strengths[0] * t * t / 2.0
+        return step_cost, self.p * (2.0 - 2.0 / (dim * dim)), 0.0
 
 
 @dataclass(frozen=True)
@@ -133,13 +171,28 @@ class Decoherence:
     """Background decay at rate ``gamma``, applied once over the wall-clock time."""
 
     gamma: float
+    name = "decoherence"
 
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
 
+    def _rate(self, t: float, a: float) -> float:
+        """Strength ``1 - exp(-gamma * t / a)`` of the end-of-run depolarizing factor."""
+        return 1.0 - math.exp(-self.gamma * t / a)
+
+    def channel(self, plan: TrotterPlan, rng: np.random.Generator | None) -> np.ndarray:
+        return depolarizing_superop(self._rate(plan.t, plan.a), plan.dim) @ trotter_ideal(plan)
+
+    def costs(self, strengths, t: float, a: float, dim: int) -> tuple[float, float, float]:
+        """The end-of-run factor's depolarizing distance is paid once, as the floor."""
+        step_cost, floor, _ = Depolarizing(self._rate(t, a)).costs(strengths, t, a, dim)
+        return step_cost, 0.0, floor
+
 
 NoiseModel = TimingJitter | AveragedTimingJitter | Depolarizing | Decoherence
+
+NOISES = {noise.name: noise for noise in get_args(NoiseModel)}
 
 
 def evolution_superop(h: np.ndarray, tau: float) -> np.ndarray:
@@ -248,24 +301,7 @@ def faulty_trotter(
     inserts the corresponding dephasing factors deterministically.
     Depolarizing noise acts once per step, decoherence once at the end.
     """
-    d = plan.dim
-    if isinstance(noise, TimingJitter):
-        if rng is None:
-            raise ValueError("sampled timing jitter needs an rng; pass a seeded Generator")
-        return unitary_superop(sampled_trotter_unitary(plan, noise.sigma, (rng,))[0])
-    if isinstance(noise, AveragedTimingJitter):
-        step = np.eye(d * d, dtype=complex)
-        for h in plan.terms:
-            err = averaged_jitter_superop(h, plan.a * noise.sigma)
-            step = err @ evolution_superop(h, plan.tau) @ step
-        return np.linalg.matrix_power(step, plan.n)
-    if isinstance(noise, Depolarizing):
-        step = depolarizing_superop(noise.p, d) @ unitary_superop(trotter_step_unitary(plan))
-        return np.linalg.matrix_power(step, plan.n)
-    if isinstance(noise, Decoherence):
-        p = 1.0 - math.exp(-noise.gamma * plan.t / plan.a)
-        return depolarizing_superop(p, d) @ trotter_ideal(plan)
-    raise TypeError(f"unknown noise model {noise!r}")
+    return noise.channel(plan, rng)
 
 
 def _left_right_sandwich(m: np.ndarray) -> np.ndarray:

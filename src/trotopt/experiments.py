@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .channels import (
+    NOISES,
     AveragedTimingJitter,
-    Decoherence,
     Depolarizing,
     NoiseModel,
     TimingJitter,
@@ -102,6 +102,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.terms:
             raise ConfigError("config needs at least one Hamiltonian term")
+        if not isinstance(self.noise, NoiseModel):
+            raise ConfigError(
+                f"unknown noise model {self.noise!r} (known: {', '.join(NOISES)})"
+            )
         if not (math.isfinite(self.t) and self.t >= 0):
             raise ConfigError(f"t must be finite and >= 0, got {self.t}")
         if not (math.isfinite(self.a) and self.a > 0):
@@ -210,20 +214,12 @@ def parse_noise(value: str) -> NoiseModel:
         strength = float(param)
     except ValueError:
         raise ConfigError(f"noise parameter must be a number, got {param!r}")
+    if name not in NOISES:
+        raise ConfigError(f"unknown noise model {name!r} (known: {', '.join(NOISES)})")
     try:
-        if name == "jitter":
-            return TimingJitter(strength)
-        if name == "avg-jitter":
-            return AveragedTimingJitter(strength)
-        if name == "depol":
-            return Depolarizing(strength)
-        if name == "decoherence":
-            return Decoherence(strength)
+        return NOISES[name](strength)
     except ValueError as exc:
         raise ConfigError(f"noise {value!r}: {exc}")
-    raise ConfigError(
-        f"unknown noise model {name!r} (known: jitter, avg-jitter, depol, decoherence)"
-    )
 
 
 def parse_metrics(value: str) -> tuple[Metric, ...]:
@@ -480,8 +476,10 @@ def optimum_report(config: ExperimentConfig, dmax: float | None = None, jobs: in
         raise ConfigError(
             "optimum prediction needs averaged timing jitter or depolarizing noise"
         )
-    # of the two models admitted above, only averaged jitter has a width
-    sigma = config.a * getattr(noise, "sigma", 0.0)
+    if dmax is not None:
+        if not isinstance(noise, AveragedTimingJitter):
+            raise ConfigError("--dmax needs averaged timing jitter noise (avg-jitter:SIGMA)")
+        sigma = config.a * noise.sigma
     strengths = {
         metric.name: defect_strengths(config.terms, metric, config.sdp_tol)
         for metric in config.metrics

@@ -35,6 +35,12 @@ def require_hermitian(m: np.ndarray, name: str = "matrix", atol: float = HERMITI
     return m
 
 
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """Hermitian part ``(M + M^dag) / 2``, which strips the roundoff asymmetry
+    of a product that is Hermitian in exact arithmetic."""
+    return 0.5 * (m + m.conj().T)
+
+
 def hermitian_exp(h: np.ndarray, theta: float) -> np.ndarray:
     """Unitary ``exp(i * theta * H)`` of a Hermitian matrix via eigendecomposition.
 

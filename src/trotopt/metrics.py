@@ -24,6 +24,7 @@ import numpy as np
 from . import sdp
 from .linalg import (
     choi_from_super,
+    hermitize,
     partial_trace,
     super_to_choi,
     trace_norm,
@@ -249,7 +250,7 @@ def diamond_norm_hp(phi: np.ndarray, tol: float = 1e-7, max_iter: int = sdp.DEFA
     j_u = choi_from_super(phi)
     if float(np.max(np.abs(j_u - j_u.conj().T))) > 1e-10:
         raise ValueError("map is not Hermiticity-preserving (Choi matrix not Hermitian)")
-    j_u = 0.5 * (j_u + j_u.conj().T)
+    j_u = hermitize(j_u)
     if float(np.max(np.abs(partial_trace(j_u, (d, d), 1)))) > 1e-10:
         raise ValueError("map must annihilate trace (Tr_out of its Choi matrix must vanish)")
     sol = sdp.solve(j_u, tol=tol, max_iter=max_iter)
@@ -271,10 +272,6 @@ def diamond_distance(ta: np.ndarray, tb: np.ndarray, tol: float = 1e-7) -> float
 
 
 # -- unstabilized induced trace norm (heuristic) -------------------------
-
-
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
 
 
 def induced_trace_norm_heuristic(
@@ -303,14 +300,14 @@ def induced_trace_norm_heuristic(
         prev = -np.inf
         val = 0.0
         for _ in range(100):
-            out = _hermitize(unvec(phi @ vec(np.outer(psi, psi.conj()))))
+            out = hermitize(unvec(phi @ vec(np.outer(psi, psi.conj()))))
             evals, evecs = np.linalg.eigh(out)
             val = float(np.abs(evals).sum())
             if val - prev <= 1e-13 * (1.0 + val):
                 break
             prev = val
             observable = (evecs * np.sign(evals)) @ evecs.conj().T
-            pulled = _hermitize(unvec(phi_adj @ vec(observable)))
+            pulled = hermitize(unvec(phi_adj @ vec(observable)))
             psi = np.linalg.eigh(pulled)[1][:, -1]
         best = max(best, val)
     return best

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import partial_trace
+from .linalg import hermitize, partial_trace
 
 SIGMA = 0.3
 BOUNDARY_FRACTION = 0.98
@@ -68,10 +68,6 @@ class SdpSolution:
     dual_residual: float = np.nan
 
 
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
-
-
 def _psd_sqrt_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """(M^(1/2), M^(-1/2), min eigenvalue) of a Hermitian matrix."""
     evals, vecs = np.linalg.eigh(m)
@@ -84,7 +80,7 @@ def _psd_sqrt_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
 def _max_step(shrink_half: np.ndarray, direction: np.ndarray) -> float:
     """Largest alpha with ``M + alpha * D > 0`` given ``M^(-1/2)``."""
-    scaled = _hermitize(shrink_half @ direction @ shrink_half)
+    scaled = hermitize(shrink_half @ direction @ shrink_half)
     lo = float(np.linalg.eigvalsh(scaled)[0])
     return np.inf if lo >= 0.0 else -1.0 / lo
 
@@ -129,7 +125,7 @@ def _structured_inverse(g0, g1, g2):
     if not mu[0] > 0.0:
         raise np.linalg.LinAlgError("G0 is not positive definite")
     root_inv = q / np.sqrt(mu)  # L^-+
-    lam, vecs = np.linalg.eigh(_hermitize(root_inv.conj().T @ g1 @ root_inv))
+    lam, vecs = np.linalg.eigh(hermitize(root_inv.conj().T @ g1 @ root_inv))
     t = root_inv @ vecs
     t_adj = t.conj().T
     # lam > 0 in exact arithmetic; roundoff can push the smallest below zero
@@ -150,7 +146,7 @@ def _structured_inverse(g0, g1, g2):
     y_rows = (half @ t.reshape(d, d, n)).reshape(d, d * n)
     lifted = (y_rows.conj().T @ y_rows).reshape(d, n, d, n) / root_d[None, :, None, :]
     phi = lifted.transpose(1, 3, 0, 2).reshape(n * n, n)
-    sigma2, p_vecs = np.linalg.eigh(_hermitize(phi.conj().T @ phi))
+    sigma2, p_vecs = np.linalg.eigh(hermitize(phi.conj().T @ phi))
     sigma2 = np.maximum(sigma2, 0.0)
     sigma = np.sqrt(sigma2)
     q_phi = (phi @ p_vecs) / np.where(sigma > 0.0, sigma, 1.0)
@@ -221,11 +217,11 @@ def _nt_scaling(s: np.ndarray, s_half: np.ndarray, s_invhalf: np.ndarray, w: np.
     _, w_invhalf, w_lo = _psd_sqrt_pair(w)
     if w_lo <= 0.0:
         return None
-    in_evals, in_vecs = np.linalg.eigh(_hermitize(s_half @ w @ s_half))
+    in_evals, in_vecs = np.linalg.eigh(hermitize(s_half @ w @ s_half))
     if in_evals[0] <= 0.0:
         return None
     inner_half = (in_vecs * np.sqrt(in_evals)) @ in_vecs.conj().T
-    return _hermitize(s_invhalf @ inner_half @ s_invhalf), w_invhalf
+    return hermitize(s_invhalf @ inner_half @ s_invhalf), w_invhalf
 
 
 def solve(j: np.ndarray, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
@@ -261,7 +257,7 @@ def solve(j: np.ndarray, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> SdpSol
     mu_floor = 0.25 * tol / total_dim
 
     for iterations in range(1, max_iter + 1):
-        slacks = [_hermitize(z - j), z, _hermitize(s * eye_in - _tr_out(z))]
+        slacks = [hermitize(z - j), z, hermitize(s * eye_in - _tr_out(z))]
         roots = [_psd_sqrt_pair(sk) for sk in slacks]
         if min(lo for *_, lo in roots) <= 0.0:
             status = "NumericalFailure"
@@ -289,7 +285,7 @@ def solve(j: np.ndarray, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> SdpSol
         # the dual residual of the current W is zero up to roundoff drift;
         # the step works on Hermitian dZ, and grg is Hermitian up to roundoff
         rhs = np.empty(n + 1, dtype=complex)
-        rhs[:n] = _hermitize(grg[0] + grg[1] + ws[0] + ws[1] - _lift(grg[2] + ws[2])).reshape(-1)
+        rhs[:n] = hermitize(grg[0] + grg[1] + ws[0] + ws[1] - _lift(grg[2] + ws[2])).reshape(-1)
         rhs[n] = np.trace(grg[2]).real + np.trace(ws[2]).real - 2.0
         try:
             step = _newton_step(*gs, rhs)
@@ -298,11 +294,11 @@ def solve(j: np.ndarray, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> SdpSol
         if not np.all(np.isfinite(step)):
             status = "NumericalFailure"
             break
-        dz = _hermitize(step[:n].reshape(d * d, d * d))
+        dz = hermitize(step[:n].reshape(d * d, d * d))
         ds = float(step[n].real)
 
-        dslacks = [dz, dz, _hermitize(ds * eye_in - _tr_out(dz))]
-        dws = [_hermitize(g @ (rc - dsk) @ g) for g, rc, dsk in zip(gs, rcs, dslacks)]
+        dslacks = [dz, dz, hermitize(ds * eye_in - _tr_out(dz))]
+        dws = [hermitize(g @ (rc - dsk) @ g) for g, rc, dsk in zip(gs, rcs, dslacks)]
         alpha_p = min(
             [1.0] + [BOUNDARY_FRACTION * _max_step(root[1], dsk) for root, dsk in zip(roots, dslacks)]
         )

@@ -16,9 +16,11 @@ over total time ``t`` with width ``sigma``,
 and for per-step depolarizing at rate ``p`` the noise cost is the full
 depolarizing distance ``p * (2 - 2/dim**2)`` instead.  End-of-run
 decoherence pays that distance once, as the ``floor``, whatever the step
-count.  Everything in this module is closed-form arithmetic on those
-coefficients plus the channel-norm evaluations; nothing here simulates
-circuits.
+count.  These per-model formulas live with the models, as the ``costs``
+method of each noise class in :mod:`trotopt.channels`;
+:func:`noise_tradeoff` checks their inputs and collects the result.
+Everything in this module is closed-form arithmetic on those coefficients
+plus the channel-norm evaluations; nothing here simulates circuits.
 """
 
 from __future__ import annotations
@@ -28,15 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    AveragedTimingJitter,
-    Decoherence,
-    Depolarizing,
-    NoiseModel,
-    TimingJitter,
-    commutator_defect_map,
-    jitter_defect_map,
-)
+from .channels import NoiseModel, commutator_defect_map, jitter_defect_map
 from .metrics import JDistance, Metric
 
 
@@ -111,21 +105,6 @@ def best_integer_steps(step_cost: float, noise_cost: float) -> int | None:
     return hi
 
 
-def jitter_costs(
-    commutator_strength: float, jitter_strength: float, t: float, sigma: float
-) -> tuple[float, float]:
-    """Tradeoff coefficients for timing jitter of width ``sigma`` over time ``t``."""
-    for name, val in (
-        ("commutator_strength", commutator_strength),
-        ("jitter_strength", jitter_strength),
-        ("t", t),
-        ("sigma", sigma),
-    ):
-        if val < 0.0:
-            raise ValueError(f"{name} must be >= 0, got {val}")
-    return commutator_strength * t * t / 2.0, jitter_strength * sigma * sigma
-
-
 def max_simulation_time(
     distance_budget: float,
     commutator_strength: float,
@@ -149,25 +128,6 @@ def max_simulation_time(
     return distance_budget / (sigma * math.sqrt(2.0 * commutator_strength * jitter_strength))
 
 
-def depolarizing_costs(
-    commutator_strength: float, p: float, t: float, dim: int
-) -> tuple[float, float]:
-    """Tradeoff coefficients for per-step depolarizing noise.
-
-    The surviving fraction ``1 - p`` discounts the splitting error; each
-    step pays the full depolarizing distance ``p * (2 - 2/dim**2)``.
-    """
-    if commutator_strength < 0.0:
-        raise ValueError(f"commutator_strength must be >= 0, got {commutator_strength}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing rate must be in [0, 1], got {p}")
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if dim < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
-    return (1.0 - p) * commutator_strength * t * t / 2.0, p * (2.0 - 2.0 / (dim * dim))
-
-
 def bound_curve(n, constants: TradeoffConstants):
     """Evaluate the tradeoff bound at integer step count(s) ``n``.
 
@@ -183,7 +143,9 @@ def bound_curve(n, constants: TradeoffConstants):
 def noise_tradeoff(
     noise: NoiseModel, strengths: tuple[float, float], t: float, a: float, dim: int
 ) -> TradeoffConstants:
-    """Bound constants for one noise model from the two defect strengths.
+    """Bound constants for one noise model from the two defect strengths
+    ``(commutator_strength, jitter_strength)``; the model's ``costs`` holds
+    its formula.
 
     Timing jitter couples through the effective width ``a * sigma``.
     Decoherence pays the depolarizing distance of its end-of-run factor
@@ -191,42 +153,11 @@ def noise_tradeoff(
     forever, so there is no finite optimum, and running faster (larger
     ``a``) always helps.
     """
+    for name, val in zip(("commutator_strength", "jitter_strength", "t"), (*strengths, t)):
+        if val < 0.0:
+            raise ValueError(f"{name} must be >= 0, got {val}")
     if a <= 0.0:
         raise ValueError(f"a must be > 0, got {a}")
-    commutator_strength, jitter_strength = strengths
-    if isinstance(noise, (TimingJitter, AveragedTimingJitter)):
-        costs = jitter_costs(commutator_strength, jitter_strength, t, a * noise.sigma)
-        return TradeoffConstants(*costs)
-    if isinstance(noise, Depolarizing):
-        return TradeoffConstants(*depolarizing_costs(commutator_strength, noise.p, t, dim))
-    if isinstance(noise, Decoherence):
-        p = 1.0 - math.exp(-noise.gamma * t / a)
-        step_cost, floor = depolarizing_costs(commutator_strength, p, t, dim)
-        return TradeoffConstants(step_cost, 0.0, floor)
-    raise TypeError(f"unknown noise model {noise!r}")
-
-
-def jitter_tradeoff(
-    terms,
-    t: float,
-    sigma: float,
-    metric: Metric = JDistance(),
-    sdp_tol: float = 1e-7,
-) -> TradeoffConstants:
-    """Full tradeoff coefficients for timing jitter on the given terms."""
-    terms = list(terms)
-    strengths = defect_strengths(terms, metric, sdp_tol)
-    return noise_tradeoff(AveragedTimingJitter(sigma), strengths, t, 1.0, len(terms[0]))
-
-
-def depolarizing_tradeoff(
-    terms,
-    p: float,
-    t: float,
-    metric: Metric = JDistance(),
-    sdp_tol: float = 1e-7,
-) -> TradeoffConstants:
-    """Full tradeoff coefficients for per-step depolarizing noise."""
-    terms = list(terms)
-    strengths = defect_strengths(terms, metric, sdp_tol)
-    return noise_tradeoff(Depolarizing(p), strengths, t, 1.0, len(terms[0]))
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
+    return TradeoffConstants(*noise.costs(strengths, t, a, dim))

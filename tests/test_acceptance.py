@@ -36,10 +36,9 @@ from trotopt.metrics import (
 from trotopt.tradeoff import (
     best_integer_steps,
     bound_curve,
-    depolarizing_tradeoff,
+    defect_strengths,
     distance_at_optimum,
-    jitter_costs,
-    jitter_tradeoff,
+    noise_tradeoff,
     optimal_steps,
 )
 
@@ -133,10 +132,7 @@ def test_04_predicted_optimum_matches_measured():
             Depolarizing(1e-4),
             Depolarizing(1e-3),
         ):
-            if isinstance(noise, AveragedTimingJitter):
-                tc = jitter_tradeoff(ISING2, 0.1, noise.sigma, metric)
-            else:
-                tc = depolarizing_tradeoff(ISING2, noise.p, 0.1, metric)
+            tc = noise_tradeoff(noise, defect_strengths(ISING2, metric), 0.1, 1.0, 4)
             n_real = optimal_steps(tc.step_cost, tc.noise_cost)
             n_pred = best_integer_steps(tc.step_cost, tc.noise_cost)
             d_pred = distance_at_optimum(tc.step_cost, tc.noise_cost)
@@ -253,24 +249,29 @@ def test_09_scaling_laws():
     start = time.perf_counter()
     failures = []
 
+    def jitter_costs(t, sigma):
+        c = noise_tradeoff(AveragedTimingJitter(sigma), (2.3, 1.7), t, 1.0, 4)
+        return c.step_cost, c.noise_cost
+
     # doubling t doubles the real optimum at fixed strengths and sigma
-    lo = optimal_steps(*jitter_costs(2.3, 1.7, 0.4, 0.05))
-    hi = optimal_steps(*jitter_costs(2.3, 1.7, 0.8, 0.05))
+    lo = optimal_steps(*jitter_costs(0.4, 0.05))
+    hi = optimal_steps(*jitter_costs(0.8, 0.05))
     if abs(hi / lo - 2.0) > 1e-12:
         failures.append(f"t-doubling ratio {hi / lo}")
 
     # the depolarizing bound is blind to the time-energy rescaling freedom
     a = 3.0
-    base = depolarizing_tradeoff(ISING2, 1e-3, 0.1)
-    scaled = depolarizing_tradeoff([a * h for h in ISING2], 1e-3, 0.1 / a)
+    scaled_terms = [a * h for h in ISING2]
+    base = noise_tradeoff(Depolarizing(1e-3), defect_strengths(ISING2), 0.1, 1.0, 4)
+    scaled = noise_tradeoff(Depolarizing(1e-3), defect_strengths(scaled_terms), 0.1 / a, 1.0, 4)
     grid = np.arange(1, 21)
     drift = np.max(np.abs(bound_curve(grid, base) - bound_curve(grid, scaled)))
     if drift > 1e-12:
         failures.append(f"rescaling drift {drift}")
 
     # a slower clock (a < 1) shrinks the jitter noise constant by exactly a^2
-    full = jitter_costs(2.3, 1.7, 0.4, 0.05)[1]
-    slowed = jitter_costs(2.3, 1.7, 0.4, 0.5 * 0.05)[1]
+    full = jitter_costs(0.4, 0.05)[1]
+    slowed = jitter_costs(0.4, 0.5 * 0.05)[1]
     if slowed != 0.25 * full:
         failures.append(f"direct sigma scaling {slowed} vs {0.25 * full}")
     config = ExperimentConfig(

@@ -335,6 +335,59 @@ class TestReadmeExample:
             for a, b in zip(want[2:5], have[2:5]):
                 assert abs(float(a) - float(b)) <= tol, (want, have)
 
+    def test_quick_tour_runs(self, capsys):
+        # the README's Python block, run as printed there: each printed value
+        # matches its comment to the digits the comment shows
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = text.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        printed = capsys.readouterr().out.split()
+        wanted = [
+            line.split("#", 1)[1].split()[0].rstrip(",")
+            for line in block.splitlines()
+            if line.startswith("print(")
+        ]
+        assert wanted == ["0.00682", "7", "0.00864"]
+        for got, want in zip(printed, wanted, strict=True):
+            assert f"{float(got):.{len(want.lstrip('0.'))}g}" == want, (got, want)
+
+
+# ising:2 J-only sweeps at a != 1 under the three noise models the README
+# example does not cover, pinned to every printed digit and the config hash
+PINNED_SWEEPS = {
+    "jitter:0.02": """\
+# config 0beb973ca122 trotopt 0.1.0
+n,metric,exact_distance,bound,benchmark,status
+1,j,0.232313439135,0.262194458502,1.875,ok
+3,j,0.238269444579,0.107760865566,1.875,ok
+8,j,0.26068913257,0.0929079433489,1.875,ok
+""",
+    "depol:0.001": """\
+# config 4139eafdb49c trotopt 0.1.0
+n,metric,exact_distance,bound,benchmark,status
+1,j,0.242417526124,0.256178882786,1.875,ok
+3,j,0.0814045945256,0.0903929609286,1.875,ok
+8,j,0.0374177788,0.0467879853482,1.875,ok
+""",
+    "decoherence:0.3": """\
+# config ea0e463bc0d5 trotopt 0.1.0
+n,metric,exact_distance,bound,benchmark,status
+1,j,0.286049576094,0.338115211936,1.875,ok
+3,j,0.137609835488,0.177160319167,1.875,ok
+8,j,0.104145042857,0.126861915177,1.875,ok
+""",
+}
+
+
+@pytest.mark.parametrize("noise", sorted(PINNED_SWEEPS))
+def test_sweep_digits_pinned(noise):
+    raw = parse_config_text(
+        f"hamiltonian = ising:2\nt = 0.3\na = 1.7\nnoise = {noise}\n"
+        "metrics = j\nn_grid = 1,3,8\nseed = 11\n"
+    )
+    config = build_config(raw)
+    assert format_csv(SWEEP_HEADER, sweep_rows(config), config) == PINNED_SWEEPS[noise]
+
 
 class TestMonteCarlo:
     def test_single_run_mean_is_that_run(self):
@@ -442,7 +495,8 @@ class TestOptimumReport:
         assert "max simulation time" not in optimum_report(config)
         assert "max simulation time (budget 0.25)" in optimum_report(config, dmax=0.25)
         depol = small_config(noise=Depolarizing(0.01), n_grid=(1, 2, 4))
-        assert "max simulation time" not in optimum_report(depol, dmax=0.25)
+        with pytest.raises(ConfigError, match="--dmax needs averaged timing jitter"):
+            optimum_report(depol, dmax=0.25)
 
     def test_rejects_unsupported_noise(self):
         with pytest.raises(ConfigError, match="optimum prediction"):
@@ -603,6 +657,17 @@ class TestCli:
         cfg.write_text("hamiltonian = 1 | nan x | z\nn_grid = 1,2\n", encoding="utf-8")
         assert cli.main(["sweep", "--config", str(cfg)]) == 2
         assert "coefficient must be finite, got 'nan'" in capsys.readouterr().err
+
+    def test_dmax_needs_averaged_jitter_exit_two(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("no channel may be built")
+
+        monkeypatch.setattr("trotopt.experiments.faulty_trotter", never)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("noise = depol:0.001\nn_grid = 1,2\n", encoding="utf-8")
+        assert cli.main(["optimum", "--config", str(cfg), "--dmax", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert "--dmax needs averaged timing jitter noise (avg-jitter:SIGMA)" in err
 
     def test_missing_config_exit_two(self, capsys):
         assert cli.main(["sweep", "--config", "/nonexistent.txt"]) == 2

@@ -16,6 +16,7 @@ from trotopt.channels import (
     faulty_trotter,
     ideal_map,
 )
+from trotopt.experiments import ConfigError, ExperimentConfig
 from trotopt.hamiltonians import ising_chain
 from trotopt.metrics import Diamond, InducedTraceHeuristic, JDistance, j_distance
 from trotopt.tradeoff import (
@@ -23,11 +24,7 @@ from trotopt.tradeoff import (
     best_integer_steps,
     bound_curve,
     defect_strengths,
-    depolarizing_costs,
-    depolarizing_tradeoff,
     distance_at_optimum,
-    jitter_costs,
-    jitter_tradeoff,
     max_simulation_time,
     noise_tradeoff,
     optimal_steps,
@@ -36,6 +33,19 @@ from trotopt.tradeoff import (
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+def jitter_costs(commutator_strength, jitter_strength, t, sigma):
+    """(step_cost, noise_cost) of timing jitter of width ``sigma`` at ``a = 1``."""
+    strengths = (commutator_strength, jitter_strength)
+    c = noise_tradeoff(AveragedTimingJitter(sigma), strengths, t, 1.0, 2)
+    return c.step_cost, c.noise_cost
+
+
+def depolarizing_costs(commutator_strength, p, t, dim):
+    """(step_cost, noise_cost) of per-step depolarizing noise at ``a = 1``."""
+    c = noise_tradeoff(Depolarizing(p), (commutator_strength, 0.0), t, 1.0, dim)
+    return c.step_cost, c.noise_cost
 
 
 class TestDefectStrengths:
@@ -188,6 +198,10 @@ class TestJitterCosts:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="sigma"):
             jitter_costs(1.0, 1.0, 1.0, -0.1)
+        with pytest.raises(ValueError, match="jitter_strength must be >= 0"):
+            jitter_costs(1.0, -1.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            jitter_costs(1.0, 1.0, -1.0, 0.1)
 
 
 class TestMaxSimulationTime:
@@ -269,8 +283,12 @@ class TestDepolarizing:
         assert np.all(np.diff(bound_curve(np.arange(1, 10), c)) > 0.0)
 
     def test_rejects_rate_outside_unit_interval(self):
-        with pytest.raises(ValueError, match="rate"):
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
             depolarizing_costs(1.0, 1.2, 1.0, 2)
+        with pytest.raises(ValueError, match="commutator_strength must be >= 0"):
+            depolarizing_costs(-1.0, 0.1, 1.0, 2)
+        with pytest.raises(ValueError, match="dim must be >= 2"):
+            depolarizing_costs(1.0, 0.1, 1.0, 1)
 
 
 class TestBoundCurve:
@@ -318,8 +336,9 @@ class TestNoiseTradeoff:
         assert (c.step_cost, c.noise_cost, c.floor) == (*depolarizing_costs(1.3, 0.02, 0.7, 4), 0.0)
 
     def test_rejects_unknown_noise(self):
-        with pytest.raises(TypeError, match="unknown noise"):
-            noise_tradeoff("thermal", (1.0, 1.0), 1.0, 1.0, 2)
+        # a model the bound cannot dispatch never reaches it: the config refuses it
+        with pytest.raises(ConfigError, match="unknown noise model 'thermal'"):
+            ExperimentConfig(terms=tuple(ising_chain(2)), label="ising:2", noise="thermal")
 
 
 class TestDecoherenceBound:
@@ -360,11 +379,12 @@ class TestScalingInvariants:
 
     def test_builders_fill_reporting_fields(self):
         terms = ising_chain(2)
-        commutator_strength, jitter_strength = defect_strengths(terms, JDistance())
-        tc = jitter_tradeoff(terms, t=0.1, sigma=0.01)
+        strengths = defect_strengths(terms, JDistance())
+        commutator_strength, jitter_strength = strengths
+        tc = noise_tradeoff(AveragedTimingJitter(0.01), strengths, 0.1, 1.0, 4)
         assert tc.step_cost == pytest.approx(commutator_strength * 0.01 / 2.0, abs=1e-15)
         assert tc.noise_cost == pytest.approx(jitter_strength * 1e-4, abs=1e-18)
-        td = depolarizing_tradeoff(terms, p=0.05, t=0.1)
+        td = noise_tradeoff(Depolarizing(0.05), strengths, 0.1, 1.0, 4)
         assert td.noise_cost == pytest.approx(0.05 * 1.875, abs=1e-15)
         assert td.step_cost == pytest.approx(0.95 * tc.step_cost, abs=1e-15)
 
