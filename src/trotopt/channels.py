@@ -120,7 +120,12 @@ class _GateJitter:
 
 @dataclass(frozen=True)
 class TimingJitter(_GateJitter):
-    """Sampled mistimed control: iid Gaussian duration errors on every gate."""
+    """Sampled mistimed control: iid Gaussian duration errors on every gate.
+
+    ``costs`` (inherited) are the averaged channel's bound constants, so under
+    this model the ``sweep`` ``bound`` column bounds the averaged channel, not
+    one sampled run, which drifts coherently and can exceed it.
+    """
 
     name = "jitter"
 

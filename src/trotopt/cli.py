@@ -99,7 +99,20 @@ def _config_from_args(args) -> ExperimentConfig:
     }
     if args.metric is not None:
         overrides["metrics"] = parse_metrics(args.metric)
-    return build_config(raw, **overrides)
+    config = build_config(raw, **overrides)
+    _check_out(config.out)
+    return config
+
+
+def _check_out(out: str | None):
+    """Refuse an output path that cannot be written before any work starts."""
+    if not out:
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise ConfigError(f"output path is a directory: {out}")
+    if not path.parent.is_dir():
+        raise ConfigError(f"output directory not found: {out}")
 
 
 def _emit(text: str, out: str | None):
@@ -133,6 +146,7 @@ def main(argv=None) -> int:
                 )
             if not (math.isfinite(args.sdp_tol) and args.sdp_tol > 0):
                 raise ConfigError(f"--sdp-tol must be finite and > 0, got {args.sdp_tol}")
+            _check_out(args.out)
             text, ok = benchmark_report(args.dim, args.sdp_tol)
             _emit(text, args.out)
             if not ok:

@@ -59,10 +59,18 @@ from .tradeoff import (
 
 SWEEP_HEADER = ("n", "metric", "exact_distance", "bound", "benchmark", "status")
 MONTECARLO_HEADER = ("run_id", "n", "metric", "value")
+# A grid spec is counted before any array is built, so a typo cannot ask for
+# gigabytes.
+MAX_GRID_POINTS = 100_000
 
 
 class ConfigError(ValueError):
     """Configuration text or values that cannot be turned into an experiment."""
+
+
+def _check_grid_size(count: int):
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"n_grid has {count} points, above MAX_GRID_POINTS = {MAX_GRID_POINTS}")
 
 
 def default_n_grid(lo: int = 1, hi: int = 1000, per_decade: int = 24) -> tuple[int, ...]:
@@ -73,6 +81,7 @@ def default_n_grid(lo: int = 1, hi: int = 1000, per_decade: int = 24) -> tuple[i
         raise ConfigError(f"per-decade count must be >= 1, got {per_decade}")
     decades = np.log10(hi / lo)
     count = max(2, int(round(decades * per_decade)) + 1)
+    _check_grid_size(count)
     raw = np.round(np.logspace(np.log10(lo), np.log10(hi), count)).astype(int)
     return tuple(int(n) for n in np.unique(raw))
 
@@ -257,6 +266,7 @@ def parse_n_grid(value: str) -> tuple[int, ...]:
             raise ConfigError(f"range bounds must be integers, got {value!r}")
         if hi < lo:
             raise ConfigError(f"range is empty: {value!r}")
+        _check_grid_size(hi - lo + 1)
         return tuple(range(lo, hi + 1))
     try:
         return tuple(int(tok) for tok in value.split(","))

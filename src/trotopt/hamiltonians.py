@@ -1,22 +1,22 @@
-"""Qubit Hamiltonians: Pauli embeddings, the Ising-chain preset, and a small
-text format for user-supplied term groups.
+"""Qubit Hamiltonians in a small text format for product-formula term groups,
+and the Ising-chain preset written in that format.
 
 The text format describes a Hamiltonian already split into the summands of a
 product formula::
 
     "<n_sites> | <group> | <group> | ..."
 
-Each group is a ``;``-separated list of Pauli strings over ``x``, ``y``,
-``z`` and ``.`` (identity), one character per site, optionally prefixed by a
-real coefficient, e.g. ``"2 | z. ; .z | xx"`` or ``"3 | 1.5 zzi..."``-style
-weighted terms.  Site 0 is the leftmost character and the leftmost Kronecker
-factor.
+Each group is a ``;``-separated sum of Pauli strings over ``x``, ``y``,
+``z`` and ``.`` (identity), one character per site, each optionally prefixed
+by a real coefficient, e.g. ``"2 | z. ; .z | 0.5 xx"``.  Site 0 is the
+leftmost character and the leftmost Kronecker factor.  :func:`terms_from_text`
+is the one place where Pauli strings become term matrices; :func:`ising_chain`
+writes its splitting as such text.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,15 +38,6 @@ class HamiltonianFormatError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """Parsed Hamiltonian: site count plus one tuple of (coefficient, pauli
-    string) terms per product-formula group."""
-
-    n_sites: int
-    groups: tuple[tuple[tuple[float, str], ...], ...]
-
-
 def pauli_string(s: str) -> np.ndarray:
     """Kronecker product of single-site Paulis; ``.`` and ``i`` mean identity."""
     out = np.array([[1.0 + 0.0j]])
@@ -56,47 +47,6 @@ def pauli_string(s: str) -> np.ndarray:
             raise ValueError(f"unknown Pauli character {ch!r}")
         out = np.kron(out, PAULIS[key])
     return out
-
-
-def pauli_embed(axis: str, site: int, n_sites: int) -> np.ndarray:
-    """Single-site Pauli ``axis`` acting on ``site`` of an ``n_sites`` register.
-
-    ``pauli_embed("z", 0, 2)`` is ``sigma_z (x) I``.
-    """
-    axis = axis.lower()
-    if axis not in ("x", "y", "z"):
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    if not 0 <= site < n_sites:
-        raise ValueError(f"site {site} out of range for {n_sites} sites")
-    chars = ["."] * n_sites
-    chars[site] = axis
-    return pauli_string("".join(chars))
-
-
-def ising_chain(n_sites: int, periodic: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Transverse-coupling Ising splitting ``(H1, H2)`` on a qubit chain.
-
-    ``H1 = sum_r sigma_z^(r)`` collects the on-site fields and
-    ``H2 = sum_r sigma_x^(r) sigma_x^(r+1)`` the nearest-neighbour couplings
-    of an open chain.  With ``periodic=True`` (three or more sites) the bond
-    closing the ring is appended to ``H2``.
-    """
-    if n_sites < 2:
-        raise ValueError(f"ising_chain needs at least 2 sites, got {n_sites}")
-    if n_sites > MAX_SITES:
-        raise ValueError(f"ising_chain supports at most {MAX_SITES} sites, got {n_sites}")
-    if periodic and n_sites < 3:
-        raise ValueError("periodic chain needs at least 3 sites")
-    dim = 2**n_sites
-    h1 = np.zeros((dim, dim), dtype=complex)
-    h2 = np.zeros((dim, dim), dtype=complex)
-    for r in range(n_sites):
-        h1 += pauli_embed("z", r, n_sites)
-    for r in range(n_sites - 1):
-        h2 += pauli_embed("x", r, n_sites) @ pauli_embed("x", r + 1, n_sites)
-    if periodic:
-        h2 += pauli_embed("x", n_sites - 1, n_sites) @ pauli_embed("x", 0, n_sites)
-    return h1, h2
 
 
 def _split_tracking(text: str, sep: str, base: int) -> list[tuple[str, int]]:
@@ -156,11 +106,11 @@ def _parse_term(piece: str, pos: int, n_sites: int) -> tuple[float, str]:
     return coeff, word.lower()
 
 
-def parse_hamiltonian_spec(text: str) -> HamiltonianSpec:
-    """Parse the term-group text format into a :class:`HamiltonianSpec`.
+def terms_from_text(text: str) -> list[np.ndarray]:
+    """Parse the term-group text format into one Hermitian matrix per group.
 
     Raises :class:`HamiltonianFormatError` with a column position when the
-    input is malformed.
+    input is malformed or its site count is outside ``[1, MAX_SITES]``.
     """
     fields = _split_tracking(text, "|", 0)
     if len(fields) < 2:
@@ -172,33 +122,39 @@ def parse_hamiltonian_spec(text: str) -> HamiltonianSpec:
         raise HamiltonianFormatError(
             f"expected an integer site count, got {head!r}", head_pos + 1
         ) from None
-    if n_sites < 1:
-        raise HamiltonianFormatError(f"site count must be positive, got {n_sites}", head_pos + 1)
-    groups = []
+    if not 1 <= n_sites <= MAX_SITES:
+        raise HamiltonianFormatError(
+            f"site count must be in [1, {MAX_SITES}], got {n_sites}", head_pos + 1
+        )
+    dim = 2**n_sites
+    terms = []
     for piece, pos in fields[1:]:
-        terms = tuple(
-            _parse_term(tp, tpos, n_sites) for tp, tpos in _split_tracking(piece, ";", pos)
-        )
-        groups.append(terms)
-    return HamiltonianSpec(n_sites=n_sites, groups=tuple(groups))
-
-
-def build_terms(spec: HamiltonianSpec) -> list[np.ndarray]:
-    """Materialize the Hermitian matrix of each group of a parsed spec."""
-    if spec.n_sites > MAX_SITES:
-        raise ValueError(
-            f"{spec.n_sites} sites give dimension {2**spec.n_sites}, beyond the supported 16"
-        )
-    dim = 2**spec.n_sites
-    out = []
-    for group in spec.groups:
         h = np.zeros((dim, dim), dtype=complex)
-        for coeff, word in group:
+        for term, term_pos in _split_tracking(piece, ";", pos):
+            coeff, word = _parse_term(term, term_pos, n_sites)
             h += coeff * pauli_string(word)
-        out.append(h)
-    return out
+        terms.append(h)
+    return terms
 
 
-def terms_from_text(text: str) -> list[np.ndarray]:
-    """Parse and materialize in one call."""
-    return build_terms(parse_hamiltonian_spec(text))
+def ising_chain(n_sites: int, periodic: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Transverse-coupling Ising splitting ``(H1, H2)`` on a qubit chain.
+
+    ``H1 = sum_r sigma_z^(r)`` collects the on-site fields and
+    ``H2 = sum_r sigma_x^(r) sigma_x^(r+1)`` the nearest-neighbour couplings
+    of an open chain.  With ``periodic=True`` (three or more sites) the bond
+    closing the ring is appended to ``H2``.  Three sites read
+    ``"3 | z.. ; .z. ; ..z | xx. ; .xx"``, plus ``x.x`` when periodic.
+    """
+    if n_sites < 2:
+        raise ValueError(f"ising_chain needs at least 2 sites, got {n_sites}")
+    if n_sites > MAX_SITES:
+        raise ValueError(f"ising_chain supports at most {MAX_SITES} sites, got {n_sites}")
+    if periodic and n_sites < 3:
+        raise ValueError("periodic chain needs at least 3 sites")
+    fields = " ; ".join("." * r + "z" + "." * (n_sites - r - 1) for r in range(n_sites))
+    bonds = ["." * r + "xx" + "." * (n_sites - r - 2) for r in range(n_sites - 1)]
+    if periodic:
+        bonds.append("x" + "." * (n_sites - 2) + "x")
+    h1, h2 = terms_from_text(f"{n_sites} | {fields} | {' ; '.join(bonds)}")
+    return h1, h2

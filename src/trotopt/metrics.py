@@ -40,8 +40,10 @@ class _ChannelMetric:
     ``name`` is the config spelling; ``benchmark(d)`` the distance of complete
     noise from a unitary channel; ``norm`` applies to Hermiticity-preserving
     maps, ``distance`` to a pair of channels and ``unitary_distance`` to a
-    pair of unitaries.  Channel distances cannot exceed 2, so the diamond and
-    heuristic distances clip values above that; norms are never clipped.
+    pair of unitaries (by default ``distance`` of their unitary channels;
+    ``Diamond`` overrides it with the closed form).  Channel distances cannot
+    exceed 2, so the diamond and heuristic distances clip values above that;
+    norms are never clipped.
     ``max_dim`` is the largest system dimension the metric can evaluate.
     The methods look the module-level functions up at call time, so wrapping
     those wraps every path.
@@ -51,6 +53,9 @@ class _ChannelMetric:
 
     def benchmark(self, d: int) -> float:
         return noise_benchmarks(d)[1]
+
+    def unitary_distance(self, u, v) -> float:
+        return self.distance(unitary_superop(u), unitary_superop(v))
 
 
 @dataclass(frozen=True)
@@ -85,9 +90,6 @@ class JDistance(_ChannelMetric):
     def distance(self, ta, tb, sdp_tol: float = 1e-7) -> float:
         return j_distance(ta, tb)
 
-    def unitary_distance(self, u, v) -> float:
-        return j_distance(unitary_superop(u), unitary_superop(v))
-
 
 @dataclass(frozen=True)
 class InducedTraceHeuristic(_ChannelMetric):
@@ -109,9 +111,6 @@ class InducedTraceHeuristic(_ChannelMetric):
 
     def distance(self, ta, tb, sdp_tol: float = 1e-7) -> float:
         return induced_trace_distance_heuristic(ta, tb, self)
-
-    def unitary_distance(self, u, v) -> float:
-        return self.distance(unitary_superop(u), unitary_superop(v))
 
 
 Metric = Diamond | JDistance | InducedTraceHeuristic

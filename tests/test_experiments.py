@@ -17,6 +17,7 @@ from trotopt.channels import (
     ideal_map,
 )
 from trotopt.experiments import (
+    MAX_GRID_POINTS,
     MONTECARLO_HEADER,
     SWEEP_HEADER,
     ConfigError,
@@ -167,6 +168,14 @@ class TestSettingParsers:
             parse_n_grid("1;2")
         with pytest.raises(ConfigError, match="range"):
             parse_n_grid("range:5:1")
+
+    def test_n_grid_size_limited_before_building(self):
+        assert len(parse_n_grid(f"range:1:{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
+        for spec in ["range:1:100000000000", "log:1:10:10000000000"]:
+            with pytest.raises(ConfigError, match=f"above MAX_GRID_POINTS = {MAX_GRID_POINTS}"):
+                parse_n_grid(spec)
+        with pytest.raises(ConfigError, match="MAX_GRID_POINTS"):
+            parse_n_grid(f"range:1:{MAX_GRID_POINTS + 1}")
 
 
 class TestBuildConfig:
@@ -668,6 +677,34 @@ class TestCli:
         assert cli.main(["optimum", "--config", str(cfg), "--dmax", "0.1"]) == 2
         err = capsys.readouterr().err
         assert "--dmax needs averaged timing jitter noise (avg-jitter:SIGMA)" in err
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "target, message",
+        [("missing/rows.csv", "output directory not found"), (".", "output path is a directory")],
+    )
+    def test_unwritable_out_exit_two(self, where, target, message, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("no channel may be built")
+
+        monkeypatch.setattr("trotopt.experiments.faulty_trotter", never)
+        out = str(tmp_path / target)
+        cfg = tmp_path / "cfg.txt"
+        text = "n_grid = 1,2\n" + (f"out = {out}\n" if where == "config" else "")
+        cfg.write_text(text, encoding="utf-8")
+        argv = ["sweep", "--config", str(cfg)] + (["--out", out] if where == "flag" else [])
+        assert cli.main(argv) == 2
+        assert f"{message}: {out}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["missing/report.txt", "."])
+    def test_benchmarks_unwritable_out_exit_two(self, target, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("no benchmark may run")
+
+        monkeypatch.setattr(cli, "benchmark_report", never)
+        out = str(tmp_path / target)
+        assert cli.main(["benchmarks", "--dim", "2", "--out", out]) == 2
+        assert out in capsys.readouterr().err
 
     def test_missing_config_exit_two(self, capsys):
         assert cli.main(["sweep", "--config", "/nonexistent.txt"]) == 2

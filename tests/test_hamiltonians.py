@@ -1,34 +1,41 @@
 """Tests for Hamiltonian construction and the term-group text format."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trotopt.hamiltonians import (
     HamiltonianFormatError,
-    build_terms,
     ising_chain,
-    parse_hamiltonian_spec,
-    pauli_embed,
     pauli_string,
     terms_from_text,
 )
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_pauli_embed_places_site_zero_leftmost():
-    np.testing.assert_array_equal(pauli_embed("z", 0, 2), np.kron(SZ, np.eye(2)))
-    np.testing.assert_array_equal(pauli_embed("x", 1, 2), np.kron(np.eye(2), SX))
+def _on_sites(n_sites, ops):
+    """Kronecker product placing ``ops[site]`` on each listed site, identity elsewhere."""
+    out = np.eye(1)
+    for site in range(n_sites):
+        out = np.kron(out, ops.get(site, np.eye(2)))
+    return out
 
 
-def test_pauli_embed_validates_arguments():
-    with pytest.raises(ValueError, match="axis"):
-        pauli_embed("w", 0, 2)
-    with pytest.raises(ValueError, match="out of range"):
-        pauli_embed("x", 2, 2)
+def test_pauli_string_places_site_zero_leftmost():
+    np.testing.assert_array_equal(pauli_string("z."), np.kron(SZ, np.eye(2)))
+    np.testing.assert_array_equal(pauli_string(".x"), np.kron(np.eye(2), SX))
+
+
+def test_pauli_string_rejects_unknown_character():
+    with pytest.raises(ValueError, match="unknown Pauli character 'w'"):
+        pauli_string("w.")
 
 
 def test_pauli_string_identity_aliases():
@@ -62,8 +69,19 @@ def test_ising_chain_terms_are_hermitian():
 def test_ising_chain_periodic_adds_closing_bond():
     _, open_h2 = ising_chain(3)
     _, ring_h2 = ising_chain(3, periodic=True)
-    closing = pauli_embed("x", 2, 3) @ pauli_embed("x", 0, 3)
-    np.testing.assert_allclose(ring_h2, open_h2 + closing, atol=1e-15)
+    np.testing.assert_array_equal(ring_h2, open_h2 + pauli_string("x.x"))
+
+
+@pytest.mark.parametrize(
+    "n, periodic", [(2, False), (3, False), (4, False), (3, True), (4, True)]
+)
+def test_ising_chain_matches_kron_construction(n, periodic):
+    fields = sum(_on_sites(n, {r: SZ}) for r in range(n))
+    bonds = [(r, r + 1) for r in range(n - 1)] + ([(n - 1, 0)] if periodic else [])
+    couplings = sum(_on_sites(n, {r: SX, s: SX}) for r, s in bonds)
+    h1, h2 = ising_chain(n, periodic=periodic)
+    np.testing.assert_array_equal(h1, fields)
+    np.testing.assert_array_equal(h2, couplings)
 
 
 def test_ising_chain_rejects_bad_sizes():
@@ -83,9 +101,8 @@ class TestParser:
         np.testing.assert_allclose(terms[1], h2, atol=1e-15)
 
     def test_coefficients(self):
-        spec = parse_hamiltonian_spec("2 | 1.5 zz ; -0.25 xy")
-        assert spec.n_sites == 2
-        assert spec.groups == (((1.5, "zz"), (-0.25, "xy")),)
+        (h,) = terms_from_text("2 | 1.5 zz ; -0.25 xy")
+        np.testing.assert_array_equal(h, 1.5 * np.kron(SZ, SZ) - 0.25 * np.kron(SX, SY))
 
     def test_single_group_single_term(self):
         (h,) = terms_from_text("1 | x")
@@ -97,38 +114,51 @@ class TestParser:
 
     def test_missing_groups(self):
         with pytest.raises(HamiltonianFormatError, match="expected"):
-            parse_hamiltonian_spec("2")
+            terms_from_text("2")
 
     def test_bad_site_count(self):
         with pytest.raises(HamiltonianFormatError, match="integer site count"):
-            parse_hamiltonian_spec("two | xx")
+            terms_from_text("two | xx")
 
     def test_wrong_string_length_reports_position(self):
         with pytest.raises(HamiltonianFormatError, match="column 5") as exc:
-            parse_hamiltonian_spec("2 | xxx")
+            terms_from_text("2 | xxx")
         assert exc.value.position == 5
 
     def test_invalid_character_reports_its_column(self):
         text = "2 | xx ; xq"
         with pytest.raises(HamiltonianFormatError, match="column 11"):
-            parse_hamiltonian_spec(text)
+            terms_from_text(text)
         assert text[10] == "q"
 
     def test_bad_coefficient(self):
         with pytest.raises(HamiltonianFormatError, match="coefficient"):
-            parse_hamiltonian_spec("2 | abc xx")
+            terms_from_text("2 | abc xx")
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_coefficient_reports_its_column(self, token):
         text = f"1 | {token} x | z"
         with pytest.raises(HamiltonianFormatError, match="column 5: coefficient must be finite"):
-            parse_hamiltonian_spec(text)
+            terms_from_text(text)
 
     def test_empty_term(self):
         with pytest.raises(HamiltonianFormatError, match="empty term"):
-            parse_hamiltonian_spec("2 | xx ; ; zz")
+            terms_from_text("2 | xx ; ; zz")
 
-    def test_build_rejects_oversized_register(self):
-        spec = parse_hamiltonian_spec("5 | xxxxx")
-        with pytest.raises(ValueError, match="beyond the supported"):
-            build_terms(spec)
+    @pytest.mark.parametrize("count", [0, 5])
+    def test_site_count_out_of_range_reports_its_column(self, count):
+        with pytest.raises(HamiltonianFormatError) as exc:
+            terms_from_text(f"  {count} | {'x' * count}")
+        assert str(exc.value) == f"column 3: site count must be in [1, 4], got {count}"
+        assert exc.value.position == 3
+
+    def test_readme_examples_parse(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("## Hamiltonian text format", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```")[3]
+        lines = [re.split(r"\s{2,}", line)[0] for line in block.strip().splitlines()]
+        assert lines == ["2 | z. ; .z | 0.5 xx", "1 | x | y"]
+        fields, coupling = terms_from_text(lines[0])
+        np.testing.assert_array_equal(fields, ising_chain(2)[0])
+        np.testing.assert_array_equal(coupling, 0.5 * np.kron(SX, SX))
+        np.testing.assert_array_equal(terms_from_text(lines[1]), [SX, SY])
