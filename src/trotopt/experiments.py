@@ -62,6 +62,15 @@ MONTECARLO_HEADER = ("run_id", "n", "metric", "value")
 # A grid spec is counted before any array is built, so a typo cannot ask for
 # gigabytes.
 MAX_GRID_POINTS = 100_000
+# The n-step averaged channel is the n-th matrix power of one step, and its
+# roundoff grows about linearly in n.  Under avg-jitter (sigma 0.01 and 0.05)
+# at 1 to 4 qubits it stays trace-preserving to 1e-9 up to n = 5e5 (worst
+# 8.2e-10, at 4 qubits) and not at 6e5 (1.2e-9); the metrics reject a channel
+# whose trace is off by more than 1e-9.
+MAX_STEPS = 500_000
+# montecarlo holds the (runs, n, k) table of jitter draws in full, at 8 bytes
+# a draw, and briefly twice while it stacks the runs.
+MAX_MONTECARLO_DRAWS = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -73,12 +82,18 @@ def _check_grid_size(count: int):
         raise ConfigError(f"n_grid has {count} points, above MAX_GRID_POINTS = {MAX_GRID_POINTS}")
 
 
+def _check_steps(n: int):
+    if n > MAX_STEPS:
+        raise ConfigError(f"n_grid reaches {n} steps, above MAX_STEPS = {MAX_STEPS}")
+
+
 def default_n_grid(lo: int = 1, hi: int = 1000, per_decade: int = 24) -> tuple[int, ...]:
     """Log-spaced integer grid, deduplicated, ``per_decade`` points per decade."""
     if lo < 1 or hi < lo:
         raise ConfigError(f"grid bounds must satisfy 1 <= lo <= hi, got [{lo}, {hi}]")
     if per_decade < 1:
         raise ConfigError(f"per-decade count must be >= 1, got {per_decade}")
+    _check_steps(hi)
     decades = np.log10(hi / lo)
     count = max(2, int(round(decades * per_decade)) + 1)
     _check_grid_size(count)
@@ -126,6 +141,7 @@ class ExperimentConfig:
             raise ConfigError(f"n_grid entries must be >= 1, got {grid[0]}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be strictly increasing")
+        _check_steps(grid[-1])
         object.__setattr__(self, "n_grid", grid)
         if not self.metrics:
             raise ConfigError("at least one metric is required")
@@ -267,6 +283,7 @@ def parse_n_grid(value: str) -> tuple[int, ...]:
         if hi < lo:
             raise ConfigError(f"range is empty: {value!r}")
         _check_grid_size(hi - lo + 1)
+        _check_steps(hi)
         return tuple(range(lo, hi + 1))
     try:
         return tuple(int(tok) for tok in value.split(","))
@@ -446,6 +463,12 @@ def montecarlo_rows(config: ExperimentConfig, jobs: int = 1) -> list[tuple]:
     if not isinstance(config.noise, TimingJitter):
         raise ConfigError(
             "montecarlo needs sampled timing jitter noise (noise = jitter:SIGMA)"
+        )
+    draws = config.runs * config.n_grid[-1] * len(config.terms)
+    if draws > MAX_MONTECARLO_DRAWS:
+        raise ConfigError(
+            f"montecarlo would draw runs * n * k = {draws} jitter values at n = "
+            f"{config.n_grid[-1]}, above MAX_MONTECARLO_DRAWS = {MAX_MONTECARLO_DRAWS}"
         )
     rows = _map_grid(montecarlo_point, config, jobs)
 

@@ -37,8 +37,9 @@ def require_hermitian(m: np.ndarray, name: str = "matrix", atol: float = HERMITI
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Hermitian part ``(M + M^dag) / 2``, which strips the roundoff asymmetry
-    of a product that is Hermitian in exact arithmetic."""
-    return 0.5 * (m + m.conj().T)
+    of a product that is Hermitian in exact arithmetic; a stack of matrices
+    along the leading axes is taken matrix by matrix."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def hermitian_exp(h: np.ndarray, theta: float) -> np.ndarray:
@@ -69,12 +70,15 @@ def vec(m: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec`; the length of ``v`` must be a perfect square."""
-    v = np.asarray(v).reshape(-1)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"unvec argument has length {v.size}, not a perfect square")
-    return v.reshape((d, d), order="F")
+    """Inverse of :func:`vec`; the length of ``v`` must be a perfect square.
+
+    A stack of vectors along the last axis becomes a stack of matrices.
+    """
+    v = np.asarray(v)
+    d = int(round(np.sqrt(v.shape[-1])))
+    if d * d != v.shape[-1]:
+        raise ValueError(f"unvec argument has length {v.shape[-1]}, not a perfect square")
+    return v.reshape(v.shape[:-1] + (d, d)).swapaxes(-1, -2)
 
 
 def unitary_superop(u: np.ndarray) -> np.ndarray:

@@ -18,6 +18,8 @@ from trotopt.channels import (
 )
 from trotopt.experiments import (
     MAX_GRID_POINTS,
+    MAX_MONTECARLO_DRAWS,
+    MAX_STEPS,
     MONTECARLO_HEADER,
     SWEEP_HEADER,
     ConfigError,
@@ -176,6 +178,27 @@ class TestSettingParsers:
                 parse_n_grid(spec)
         with pytest.raises(ConfigError, match="MAX_GRID_POINTS"):
             parse_n_grid(f"range:1:{MAX_GRID_POINTS + 1}")
+
+    def test_step_count_limited_before_building(self):
+        assert parse_n_grid(f"log:1:{MAX_STEPS}:2")[-1] == MAX_STEPS
+        assert parse_n_grid(f"range:{MAX_STEPS - 1}:{MAX_STEPS}")[-1] == MAX_STEPS
+        assert small_config(n_grid=(1, MAX_STEPS)).n_grid[-1] == MAX_STEPS
+        over = MAX_STEPS + 1
+        for spec in [f"log:1:{over}:2", f"range:{MAX_STEPS}:{over}", "log:1:1" + "0" * 400 + ":2"]:
+            with pytest.raises(ConfigError, match=f"above MAX_STEPS = {MAX_STEPS}"):
+                parse_n_grid(spec)
+        for grid in [(1, over), (1, 2**62)]:
+            with pytest.raises(ConfigError, match=f"above MAX_STEPS = {MAX_STEPS}"):
+                small_config(n_grid=grid)
+
+    @pytest.mark.parametrize("n_sites", [2, 4])
+    def test_max_steps_channel_stays_trace_preserving(self, n_sites):
+        terms = ising_chain(n_sites)
+        d = terms[0].shape[0]
+        plan = TrotterPlan(terms, t=0.1, n=MAX_STEPS, a=1.0)
+        one = np.eye(d).reshape(-1)
+        channel = faulty_trotter(plan, AveragedTimingJitter(0.01))
+        assert np.max(np.abs(one @ channel - one)) <= 1e-9
 
 
 class TestBuildConfig:
@@ -396,6 +419,48 @@ def test_sweep_digits_pinned(noise):
     )
     config = build_config(raw)
     assert format_csv(SWEEP_HEADER, sweep_rows(config), config) == PINNED_SWEEPS[noise]
+
+
+# j,heuristic sweeps under the default averaged jitter, pinned to every
+# printed digit: the see-saw's restarts ascend as one stack and must end where
+# each ended when they ran one after another
+PINNED_HEURISTIC_SWEEPS = {
+    "ising:2": """\
+# config 77b640880d7b trotopt 0.1.0
+n,metric,exact_distance,bound,benchmark,status
+1,heuristic,0.0400694536911,0.041,1.5,ok
+1,j,0.0284216657437,0.028944826375,1.875,ok
+2,heuristic,0.0204622936895,0.022,1.5,ok
+2,j,0.0146440185956,0.0154632458788,1.875,ok
+3,heuristic,0.0142009202799,0.0163333333333,1.5,ok
+3,j,0.0103046118271,0.0114097557985,1.875,ok
+4,heuristic,0.0113077666963,0.014,1.5,ok
+4,j,0.00834830610846,0.00971328832205,1.875,ok
+""",
+    "ising:3": """\
+# config 7aa069f0866f trotopt 0.1.0
+n,metric,exact_distance,bound,benchmark,status
+1,heuristic,0.057351121306,0.0588629696859,1.75,ok
+1,j,0.0401987661217,0.0411403124237,1.96875,ok
+2,heuristic,0.0304902123466,0.0328731256295,1.75,ok
+2,j,0.0208238879789,0.0222806248475,1.96875,ok
+3,heuristic,0.0225614897267,0.0257394624046,1.75,ok
+3,j,0.0148106773179,0.0167542706046,1.96875,ok
+4,heuristic,0.019482975079,0.0233198443877,1.75,ok
+4,j,0.0121929688269,0.014561249695,1.96875,ok
+""",
+}
+
+
+@pytest.mark.parametrize("hamiltonian", sorted(PINNED_HEURISTIC_SWEEPS))
+def test_heuristic_sweep_digits_pinned(hamiltonian):
+    raw = parse_config_text(
+        f"hamiltonian = {hamiltonian}\nnoise = avg-jitter:0.01\n"
+        "metrics = j,heuristic\nn_grid = 1,2,3,4\n"
+    )
+    config = build_config(raw)
+    want = PINNED_HEURISTIC_SWEEPS[hamiltonian]
+    assert format_csv(SWEEP_HEADER, sweep_rows(config), config) == want
 
 
 class TestMonteCarlo:
@@ -709,6 +774,52 @@ class TestCli:
     def test_missing_config_exit_two(self, capsys):
         assert cli.main(["sweep", "--config", "/nonexistent.txt"]) == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid", ["1,4611686018427387904", f"range:{MAX_STEPS}:{MAX_STEPS + 1}", f"log:1:{10**9}:2"]
+    )
+    def test_step_limit_exit_two(self, grid, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("no channel may be built")
+
+        monkeypatch.setattr("trotopt.experiments.faulty_trotter", never)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"n_grid = {grid}\n", encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        assert f"above MAX_STEPS = {MAX_STEPS}" in capsys.readouterr().err
+
+    def test_log_grid_overflow_exit_two_without_traceback(self, tmp_path):
+        # hi / lo is beyond the float range, so hi must be refused before it
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n_grid = log:1:1" + "0" * 400 + ":2\n", encoding="utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-m", "trotopt.cli", "sweep", "--config", str(cfg)],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert f"above MAX_STEPS = {MAX_STEPS}" in out.stderr
+        assert out.stdout == ""
+
+    def test_montecarlo_draw_limit_exit_two(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("no run may be sampled")
+
+        monkeypatch.setattr("trotopt.experiments.sampled_trotter_unitary", never)
+        cfg = tmp_path / "cfg.txt"
+        # ising:2 has two terms, so n + 1 steps take runs * n * k over the limit
+        runs = 50
+        n = MAX_MONTECARLO_DRAWS // (2 * runs)
+        cfg.write_text(f"noise = jitter:0.01\nn_grid = {n + 1}\nruns = {runs}\n", encoding="utf-8")
+        assert cli.main(["montecarlo", "--config", str(cfg)]) == 2
+        assert f"above MAX_MONTECARLO_DRAWS = {MAX_MONTECARLO_DRAWS}" in capsys.readouterr().err
+        # at the limit itself the check passes and the grid is mapped
+        monkeypatch.setattr("trotopt.experiments._map_grid", lambda *args: [])
+        config = small_config(noise=TimingJitter(0.01), n_grid=(n,), runs=runs)
+        assert montecarlo_rows(config) == []
 
     def test_wrong_noise_for_montecarlo_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

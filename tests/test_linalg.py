@@ -50,6 +50,15 @@ class TestVec:
             m = random_complex(rng, d)
             np.testing.assert_array_equal(linalg.unvec(linalg.vec(m)), m)
 
+    def test_stacks_act_row_by_row(self):
+        rng = np.random.default_rng(9)
+        rows = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+        mats = linalg.unvec(rows)
+        herm = linalg.hermitize(mats)
+        for r in range(3):
+            np.testing.assert_array_equal(mats[r], linalg.unvec(rows[r]))
+            np.testing.assert_array_equal(herm[r], linalg.hermitize(mats[r]))
+
     def test_unvec_rejects_non_square_length(self):
         with pytest.raises(ValueError, match="perfect square"):
             linalg.unvec(np.arange(5.0))

@@ -12,8 +12,18 @@ import itertools
 import numpy as np
 import pytest
 
-from trotopt.channels import complete_noise, depolarizing_superop
-from trotopt.linalg import trace_norm, unitary_superop
+from trotopt.channels import (
+    AveragedTimingJitter,
+    TrotterPlan,
+    commutator_defect_map,
+    complete_noise,
+    depolarizing_superop,
+    faulty_trotter,
+    ideal_map,
+    jitter_defect_map,
+)
+from trotopt.hamiltonians import ising_chain
+from trotopt.linalg import hermitize, trace_norm, unitary_superop, unvec, vec
 from trotopt.metrics import (
     METRICS,
     Diamond,
@@ -24,6 +34,7 @@ from trotopt.metrics import (
     diamond_distance_unitary,
     diamond_norm_hp,
     induced_trace_distance_heuristic,
+    induced_trace_norm_heuristic,
     j_distance,
     j_norm,
     noise_benchmarks,
@@ -348,6 +359,75 @@ class TestInducedTraceHeuristic:
     def test_restart_count_validated(self):
         with pytest.raises(ValueError, match="restarts"):
             InducedTraceHeuristic(restarts=0)
+
+
+def seesaw_oracle(phi, cfg):
+    """The see-saw one restart at a time: (value, ascent steps) per restart."""
+    d = round(np.sqrt(phi.shape[0]))
+    phi_adj = phi.conj().T
+    found = []
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,))
+        )
+        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        psi /= np.linalg.norm(psi)
+        prev = -np.inf
+        for step in range(1, 101):
+            out = hermitize(unvec(phi @ vec(np.outer(psi, psi.conj()))))
+            evals, evecs = np.linalg.eigh(out)
+            val = float(np.abs(evals).sum())
+            if val - prev <= 1e-13 * (1.0 + val):
+                break
+            prev = val
+            observable = (evecs * np.sign(evals)) @ evecs.conj().T
+            pulled = hermitize(unvec(phi_adj @ vec(observable)))
+            psi = np.linalg.eigh(pulled)[1][:, -1]
+        found.append((val, step))
+    return found
+
+
+def ising_difference(n_sites, n):
+    plan = TrotterPlan(ising_chain(n_sites), t=0.1, n=n, a=1.0)
+    return faulty_trotter(plan, AveragedTimingJitter(0.01)) - ideal_map(plan)
+
+
+class TestBatchedSeeSaw:
+    """The restarts ascend as one stack; each must end where it ends alone."""
+
+    @staticmethod
+    def assert_matches_oracle(phi, cfg):
+        want = max(val for val, _ in seesaw_oracle(phi, cfg))
+        got = induced_trace_norm_heuristic(phi, cfg)
+        assert abs(got - want) <= 1e-13 * want, (got, want)
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_random_channel_pairs(self, d):
+        rng = np.random.default_rng(80 + d)
+        for seed in range(2):
+            phi = random_channel(rng, d) - random_channel(rng, d)
+            self.assert_matches_oracle(phi, InducedTraceHeuristic(restarts=16, seed=seed))
+
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    @pytest.mark.parametrize("defect_map", [commutator_defect_map, jitter_defect_map])
+    def test_ising_defect_maps(self, n_sites, defect_map):
+        self.assert_matches_oracle(defect_map(ising_chain(n_sites)), InducedTraceHeuristic())
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ising3_differences_at_step_cap(self, n):
+        # some restarts ascend for the full 100 steps (at n = 2 all 64 do)
+        # while others leave the stack earlier (at n = 4 most, from step 52)
+        phi = ising_difference(3, n)
+        cfg = InducedTraceHeuristic()
+        assert any(steps == 100 for _, steps in seesaw_oracle(phi, cfg))
+        self.assert_matches_oracle(phi, cfg)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_single_restart_is_oracle_first_restart(self, seed):
+        phi = ising_difference(2, 3)
+        first = seesaw_oracle(phi, InducedTraceHeuristic(seed=seed))[0][0]
+        got = induced_trace_norm_heuristic(phi, InducedTraceHeuristic(restarts=1, seed=seed))
+        assert abs(got - first) <= 1e-13 * first
 
 
 class TestMetricAxioms:
