@@ -8,7 +8,8 @@ formula:
 
 * :class:`TimingJitter` -- every per-term gate runs for ``t/n + a*delta``
   with ``delta ~ N(0, sigma^2)`` drawn fresh for each of the ``k*n`` gates.
-  One sample of the whole circuit is still unitary.
+  One sample of the whole circuit is still unitary; runs are sampled by
+  :func:`sampled_trotter_unitary`, and the model has no single channel.
 * :class:`AveragedTimingJitter` -- the Gaussian average of the above, which
   dephases in each term's eigenbasis with weights
   ``exp(-(E_m - E_n)^2 (a*sigma)^2 / 2)``.
@@ -19,12 +20,17 @@ formula:
   decay that cares about wall-clock time only.
 
 Each model carries everything the package asks of it: its config spelling
-``name`` (the keys of :data:`NOISES`), its ``channel(plan, rng)`` and its
-``costs(strengths, t, a, dim)``, the ``(step_cost, noise_cost, floor)``
-coefficients of the step-number bound in :mod:`trotopt.tradeoff`.
+``name`` (the keys of :data:`NOISES`) and, except for sampled jitter, its
+``channel(plan)`` and its ``costs(strengths, t, a, dim)``, the
+``(step_cost, noise_cost, floor)`` coefficients of the step-number bound in
+:mod:`trotopt.tradeoff`.
 
 All supermatrices use the column-stacking convention of
-:mod:`trotopt.linalg`.  Sampled-jitter randomness flows through one
+:mod:`trotopt.linalg`.  A noisy step that is raised to the ``n``-th power
+(averaged jitter, depolarizing) is carried as its real matrix in the
+Hermitian operator basis of :func:`trotopt.linalg.to_hermitian_basis`, so
+the power runs in real arithmetic, and is converted back once.
+Sampled-jitter randomness flows through one
 caller-supplied ``numpy.random.Generator`` per circuit run (default PCG64);
 each run draws its own ``rng.normal(0, sigma, size=(n, k))`` table in
 row-major order, so run ``r`` depends on its generator alone, runs with a
@@ -41,8 +47,11 @@ from typing import get_args
 import numpy as np
 
 from .linalg import (
+    from_hermitian_basis,
+    hermitian_basis_rows,
     hermitian_exp,
     require_hermitian,
+    to_hermitian_basis,
     unitary_superop,
     vec,
 )
@@ -103,8 +112,7 @@ class TrotterPlan:
 
 @dataclass(frozen=True)
 class _GateJitter:
-    """Gaussian gate-duration error of width ``sigma``; the bound sees it
-    through the effective width ``a * sigma``."""
+    """Gaussian gate-duration error of width ``sigma``."""
 
     sigma: float
 
@@ -112,41 +120,54 @@ class _GateJitter:
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
-    def costs(self, strengths, t: float, a: float, dim: int) -> tuple[float, float, float]:
-        commutator_strength, jitter_strength = strengths
-        sigma = a * self.sigma
-        return commutator_strength * t * t / 2.0, jitter_strength * sigma * sigma, 0.0
-
 
 @dataclass(frozen=True)
 class TimingJitter(_GateJitter):
     """Sampled mistimed control: iid Gaussian duration errors on every gate.
 
-    ``costs`` (inherited) are the averaged channel's bound constants, so under
-    this model the ``sweep`` ``bound`` column bounds the averaged channel, not
-    one sampled run, which drifts coherently and can exceed it.
+    Only ``montecarlo`` uses it, through :func:`sampled_trotter_unitary`.  It
+    has no channel and no bound costs: one sampled run drifts coherently, so
+    the averaged channel's bound does not bound it.
     """
 
     name = "jitter"
 
-    def channel(self, plan: TrotterPlan, rng: np.random.Generator | None) -> np.ndarray:
-        if rng is None:
-            raise ValueError("sampled timing jitter needs an rng; pass a seeded Generator")
-        return unitary_superop(sampled_trotter_unitary(plan, self.sigma, (rng,))[0])
-
 
 @dataclass(frozen=True)
 class AveragedTimingJitter(_GateJitter):
-    """Gaussian-averaged mistimed control (the mean channel over jitter draws)."""
+    """Gaussian-averaged mistimed control (the mean channel over jitter draws).
+
+    Averaging ``exp(i H delta) rho exp(-i H delta)`` over
+    ``delta ~ N(0, (a sigma)^2)`` dephases in the eigenbasis of ``H``: the
+    matrix element between eigenvectors of energies ``E_m`` and ``E_n`` picks
+    up the factor ``exp(-(E_m - E_n)^2 (a sigma)^2 / 2)``.
+    """
 
     name = "avg-jitter"
 
-    def channel(self, plan: TrotterPlan, rng: np.random.Generator | None) -> np.ndarray:
-        step = np.eye(plan.dim**2, dtype=complex)
+    def channel(self, plan: TrotterPlan) -> np.ndarray:
+        """Each term's dephase-and-evolve factor is diagonal in its eigenbasis
+        ``W``: ``B diag(v) B^dag`` with ``B = kron(conj(W), W)`` and
+        ``v = vec(exp(-(a sigma g)^2 / 2 + i tau g))`` over the energy gaps
+        ``g``.  In the Hermitian basis it is ``Re(A diag(v) A^dag)`` with
+        ``A = Q^dag B``, two real products."""
+        sigma = plan.a * self.sigma
+        step = None
         for h in plan.terms:
-            err = averaged_jitter_superop(h, plan.a * self.sigma)
-            step = err @ evolution_superop(h, plan.tau) @ step
-        return np.linalg.matrix_power(step, plan.n)
+            evals, w = np.linalg.eigh(h)
+            gaps = evals[:, None] - evals[None, :]
+            v = vec(np.exp(-0.5 * (sigma * gaps) ** 2 + 1j * plan.tau * gaps))
+            a = hermitian_basis_rows(unitary_superop(w))
+            av = a * v
+            factor = av.real @ a.real.T + av.imag @ a.imag.T
+            step = factor if step is None else factor @ step
+        return _power(step, plan.n)
+
+    def costs(self, strengths, t: float, a: float, dim: int) -> tuple[float, float, float]:
+        """The bound sees the jitter through the effective width ``a * sigma``."""
+        commutator_strength, jitter_strength = strengths
+        sigma = a * self.sigma
+        return commutator_strength * t * t / 2.0, jitter_strength * sigma * sigma, 0.0
 
 
 @dataclass(frozen=True)
@@ -160,9 +181,9 @@ class Depolarizing:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
-    def channel(self, plan: TrotterPlan, rng: np.random.Generator | None) -> np.ndarray:
+    def channel(self, plan: TrotterPlan) -> np.ndarray:
         step = depolarizing_superop(self.p, plan.dim) @ unitary_superop(trotter_step_unitary(plan))
-        return np.linalg.matrix_power(step, plan.n)
+        return _power(to_hermitian_basis(step), plan.n)
 
     def costs(self, strengths, t: float, a: float, dim: int) -> tuple[float, float, float]:
         """The surviving fraction ``1 - p`` discounts the splitting error; each
@@ -186,7 +207,7 @@ class Decoherence:
         """Strength ``1 - exp(-gamma * t / a)`` of the end-of-run depolarizing factor."""
         return 1.0 - math.exp(-self.gamma * t / a)
 
-    def channel(self, plan: TrotterPlan, rng: np.random.Generator | None) -> np.ndarray:
+    def channel(self, plan: TrotterPlan) -> np.ndarray:
         return depolarizing_superop(self._rate(plan.t, plan.a), plan.dim) @ trotter_ideal(plan)
 
     def costs(self, strengths, t: float, a: float, dim: int) -> tuple[float, float, float]:
@@ -198,6 +219,12 @@ class Decoherence:
 NoiseModel = TimingJitter | AveragedTimingJitter | Depolarizing | Decoherence
 
 NOISES = {noise.name: noise for noise in get_args(NoiseModel)}
+
+
+def _power(step: np.ndarray, n: int) -> np.ndarray:
+    """Supermatrix of ``n`` repetitions of a step given as its real matrix in
+    the Hermitian basis; the power runs in real arithmetic."""
+    return from_hermitian_basis(np.linalg.matrix_power(step, n))
 
 
 def evolution_superop(h: np.ndarray, tau: float) -> np.ndarray:
@@ -223,24 +250,6 @@ def depolarizing_superop(p: float, d: int) -> np.ndarray:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     return (1.0 - p) * np.eye(d * d, dtype=complex) + p * complete_noise(d)
-
-
-def averaged_jitter_superop(h: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian-averaged timing-error channel for a single generator ``H``.
-
-    Averaging ``exp(i H delta) rho exp(-i H delta)`` over
-    ``delta ~ N(0, sigma^2)`` dephases in the eigenbasis of ``H``: the matrix
-    element between eigenvectors of energies ``E_m`` and ``E_n`` picks up the
-    factor ``exp(-(E_m - E_n)^2 sigma^2 / 2)``.
-    """
-    h = require_hermitian(h, "averaged_jitter_superop argument")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    evals, w = np.linalg.eigh(h)
-    gaps = evals[:, None] - evals[None, :]
-    lam = np.exp(-0.5 * (sigma * gaps) ** 2)
-    basis = unitary_superop(w)
-    return (basis * vec(lam)) @ basis.conj().T
 
 
 def ideal_map(plan: TrotterPlan) -> np.ndarray:
@@ -280,11 +289,14 @@ def sampled_trotter_unitary(
 ) -> np.ndarray:
     """Sampled runs of the jittered circuit, stacked as ``(runs, d, d)`` unitaries.
 
-    Run ``r`` draws its ``(n, k)`` table from ``rngs[r]`` alone.  Each gate runs for
+    Run ``r`` draws its ``(n, k)`` table from ``rngs[r]`` alone, into row ``r``
+    of one ``(runs, n, k)`` array, so the draws are held once.  Each gate runs for
     ``t/n + a*delta`` on the unscaled generator (``exp(i a H_j (t/(a n) + delta))``
     in simuland units), as ``V diag(exp(i theta lambda)) V^dag`` with one ``eigh`` per term.
     """
-    deltas = np.stack([jitter_deltas(plan, sigma, rng) for rng in rngs])
+    deltas = np.empty((len(rngs), plan.n, len(plan.terms)))
+    for run, rng in enumerate(rngs):
+        deltas[run] = jitter_deltas(plan, sigma, rng)
     eigs = [np.linalg.eigh(h) for h in plan.terms]
     u = np.eye(plan.dim, dtype=complex)  # the first gate broadcasts it over the runs
     for i in range(plan.n):
@@ -296,17 +308,16 @@ def sampled_trotter_unitary(
 
 def faulty_trotter(
     plan: TrotterPlan,
-    noise: NoiseModel,
-    rng: np.random.Generator | None = None,
+    noise: AveragedTimingJitter | Depolarizing | Decoherence,
 ) -> np.ndarray:
     """Supermatrix of the noisy ``n``-step product formula under ``noise``.
 
-    Sampled timing jitter inserts one random gate-duration error per term per
-    step (``k*n`` insertions) and needs ``rng``; its averaged counterpart
-    inserts the corresponding dephasing factors deterministically.
-    Depolarizing noise acts once per step, decoherence once at the end.
+    Averaged timing jitter inserts one dephasing factor per term per step
+    (``k*n`` insertions), depolarizing noise acts once per step, decoherence
+    once at the end.  Sampled jitter has no single channel; its runs come
+    from :func:`sampled_trotter_unitary`.
     """
-    return noise.channel(plan, rng)
+    return noise.channel(plan)
 
 
 def _left_right_sandwich(m: np.ndarray) -> np.ndarray:

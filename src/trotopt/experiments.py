@@ -3,10 +3,10 @@
 A plain-text key=value config resolves to an :class:`ExperimentConfig`;
 experiment functions turn one into CSV rows (sweeps over the step number,
 Monte-Carlo jitter runs) or text reports (optimum prediction, benchmark
-check).  Everything is deterministic given the master seed: randomness for a
-grid point or a run is drawn from a generator seeded with
-``SeedSequence(master_seed, spawn_key=point_key)``, so results do not depend
-on execution order or on the number of worker processes.
+check).  Everything is deterministic given the master seed: the jitter of
+Monte-Carlo run ``r`` at step count ``n`` is drawn from a generator seeded
+with ``SeedSequence(master_seed, spawn_key=(r, n))``, so results do not
+depend on execution order or on the number of worker processes.
 """
 
 from __future__ import annotations
@@ -63,13 +63,14 @@ MONTECARLO_HEADER = ("run_id", "n", "metric", "value")
 # gigabytes.
 MAX_GRID_POINTS = 100_000
 # The n-step averaged channel is the n-th matrix power of one step, and its
-# roundoff grows about linearly in n.  Under avg-jitter (sigma 0.01 and 0.05)
-# at 1 to 4 qubits it stays trace-preserving to 1e-9 up to n = 5e5 (worst
-# 8.2e-10, at 4 qubits) and not at 6e5 (1.2e-9); the metrics reject a channel
-# whose trace is off by more than 1e-9.
+# roundoff grows about linearly in n.  Under avg-jitter (sigma 0.01 and 0.05,
+# t 0.1 and 1) at 1 to 4 qubits its trace-preservation error is at most
+# 4.0e-10 at n = 5e5 (3 qubits) and 5.6e-10 at 6e5 (4 qubits); the metrics
+# reject a channel whose trace is off by more than 1e-9.
 MAX_STEPS = 500_000
 # montecarlo holds the (runs, n, k) table of jitter draws in full, at 8 bytes
-# a draw, and briefly twice while it stacks the runs.
+# a draw: a montecarlo at the limit (100 runs, n = 50,000, k = 2, an 80 MB
+# table) peaks at 116 MB resident.
 MAX_MONTECARLO_DRAWS = 10_000_000
 
 
@@ -401,8 +402,7 @@ def sweep_point(config: ExperimentConfig, bounds: dict, index: int) -> list[tupl
     precomputed bound constants."""
     n = config.n_grid[index]
     plan = TrotterPlan(config.terms, t=config.t, n=n, a=config.a)
-    rng = seeded_rng(config.master_seed, index)
-    faulty = faulty_trotter(plan, config.noise, rng)
+    faulty = faulty_trotter(plan, config.noise)
     ideal = ideal_map(plan)
     rows = []
     for metric in config.metrics:
@@ -420,6 +420,12 @@ def _sweep(config: ExperimentConfig, bounds: dict, jobs: int) -> list[tuple]:
 
 def sweep_rows(config: ExperimentConfig, jobs: int = 1) -> list[tuple]:
     """Rows of the step-number sweep, sorted by (n, metric)."""
+    if isinstance(config.noise, TimingJitter):
+        raise ConfigError(
+            "sweep needs a channel per step count, and sampled jitter has none: "
+            "use noise = avg-jitter:SIGMA for the averaged channel, or the "
+            "montecarlo command for sampled runs"
+        )
     bounds = {
         metric.name: _tradeoff(config, defect_strengths(config.terms, metric, config.sdp_tol))
         for metric in config.metrics

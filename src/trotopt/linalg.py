@@ -8,15 +8,31 @@ form produced by :func:`unitary_superop`.  The Choi matrix produced by
 :func:`super_to_choi` lives on output (x) input and is normalized to unit
 trace for trace-preserving maps.
 
+A Hermiticity-preserving map is a *real* matrix in any orthonormal basis of
+Hermitian operators (its Pauli transfer matrix when the basis is Pauli
+strings).  :func:`to_hermitian_basis` and :func:`from_hermitian_basis` change
+a supermatrix to and from the basis of matrix units ``E_ii``,
+``(E_ij + E_ji)/sqrt2`` and ``i(E_ij - E_ji)/sqrt2`` (``i > j``), which
+exists for every ``d``; each element of it touches at most two vec
+positions, so the change costs O(d^4) instead of two dense products.
+
 Everything here is plain dense numpy; matrices are expected to be small
 (system dimension up to 16, superoperators up to 256 x 256).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
+# trace_norm's Hermiticity check.  Every caller passes a state difference or
+# the Choi matrix of a Hermiticity-preserving map.  The worst deviation the
+# package produces is 7e-18 at 4 qubits with n = MAX_STEPS (J-distance Choi
+# difference under averaged jitter, depolarizing and decoherence, t = 0.1
+# and 1) and 3e-17 at 2 qubits; the defect maps' Choi matrices deviate by 0.
+TRACE_NORM_HERMITIAN_ATOL = 1e-8
 
 
 def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -58,9 +74,14 @@ def hermitian_exp(h: np.ndarray, theta: float) -> np.ndarray:
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Trace norm (sum of singular values) of a square matrix."""
-    m = _as_square(m, "trace_norm argument")
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    """Trace norm of a Hermitian matrix: the sum of ``|eigvalsh|`` of its
+    Hermitian part.
+
+    Raises ``ValueError`` for a matrix farther than
+    ``TRACE_NORM_HERMITIAN_ATOL`` from Hermitian in max-abs entry.
+    """
+    m = require_hermitian(m, "trace_norm argument", TRACE_NORM_HERMITIAN_ATOL)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(hermitize(m)))))
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -144,3 +165,52 @@ def choi_to_super(j: np.ndarray) -> np.ndarray:
     if d * d != j.shape[0]:
         raise ValueError(f"choi matrix of size {j.shape[0]} is not d^2 x d^2")
     return (j * d).reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+
+
+def hermitian_basis_rows(t: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """``Q^dag t`` (or ``Q t`` with ``inverse``) for the unitary ``Q`` whose
+    columns are the vec'd Hermitian basis of :func:`to_hermitian_basis`: the
+    rows of a ``(d^2, m)`` array, read as vec positions, re-expressed in that
+    basis (or back).
+
+    Basis element ``p = a + d*b`` takes the place of vec position ``p``:
+    ``E_aa`` when ``a == b``, ``(E_ab + E_ba)/sqrt2`` when ``a < b`` and
+    ``i(E_ab - E_ba)/sqrt2`` when ``a > b``.  Rows of ``t`` reshape to
+    ``(d, d, m)`` with ``[b, a]`` holding vec position ``a + d*b``; with
+    ``x`` at ``[r, c]`` and ``y`` at ``[c, r]`` (``r > c``), ``Q^dag`` writes
+    ``(x + y)/sqrt2`` and ``i(x - y)/sqrt2`` there, and ``Q`` writes
+    ``(x - i y)/sqrt2`` and ``(x + i y)/sqrt2``.
+    """
+    t = np.asarray(t)
+    d = math.isqrt(t.shape[0])
+    z = t.reshape(d, d, -1).astype(complex)
+    r, c = np.tril_indices(d, -1)
+    x, y = z[r, c], z[c, r]
+    s = math.sqrt(0.5)
+    if inverse:
+        z[r, c] = (x - 1j * y) * s
+        z[c, r] = (x + 1j * y) * s
+    else:
+        z[r, c] = (x + y) * s
+        z[c, r] = (x - y) * (1j * s)
+    return z.reshape(t.shape)
+
+
+def to_hermitian_basis(s: np.ndarray) -> np.ndarray:
+    """Real matrix ``Q^dag S Q`` of a Hermiticity-preserving supermatrix in
+    the orthonormal Hermitian matrix-unit basis.
+
+    Its entries ``tr(B_k S(B_l))`` are real for such a map; the imaginary
+    part, roundoff only, is dropped.
+    """
+    s = _as_square(s, "superoperator")
+    left = hermitian_basis_rows(s).conj().T
+    return np.ascontiguousarray(hermitian_basis_rows(left).real.T)
+
+
+def from_hermitian_basis(r: np.ndarray) -> np.ndarray:
+    """Supermatrix ``Q R Q^dag`` of a real matrix in the Hermitian basis;
+    inverse of :func:`to_hermitian_basis`."""
+    r = _as_square(r, "basis matrix")
+    left = hermitian_basis_rows(r, inverse=True).conj().T
+    return hermitian_basis_rows(left, inverse=True).conj().T

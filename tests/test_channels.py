@@ -1,8 +1,9 @@
 """Tests for ideal/faulty Trotter channel construction.
 
 Averaged noise channels are checked against Monte-Carlo oracles (sample means
-of the corresponding unitary-jitter channels), and the second-order error
-expansion against the exact supermatrix difference.
+of the corresponding unitary-jitter channels) and against the complex
+supermatrix products they replaced, and the second-order error expansion
+against the exact supermatrix difference.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from trotopt.channels import (
     Depolarizing,
     TimingJitter,
     TrotterPlan,
-    averaged_jitter_superop,
     commutator_defect_map,
     complete_noise,
     depolarizing_superop,
@@ -29,9 +29,7 @@ from trotopt.channels import (
     trotter_ideal,
     trotter_step_unitary,
 )
-from trotopt.experiments import ExperimentConfig, seeded_rng, sweep_rows
 from trotopt.hamiltonians import ising_chain
-from trotopt.metrics import j_distance
 
 SZ = np.diag([1.0 + 0.0j, -1.0])
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -51,6 +49,49 @@ def averaged_expansion(plan, sigma):
     return -0.5 * plan.tau**2 * commutator_defect_map(plan.terms) + sigma**2 * jitter_defect_map(
         plan.terms
     )
+
+
+def sampled_channel(plan, sigma, rng):
+    """Supermatrix of one sampled jitter run drawn from ``rng``."""
+    return linalg.unitary_superop(sampled_trotter_unitary(plan, sigma, (rng,))[0])
+
+
+def channel_of(plan, noise, rng):
+    """The channel a noise model gives ``plan``; one sampled run under jitter."""
+    if isinstance(noise, TimingJitter):
+        return sampled_channel(plan, noise.sigma, rng)
+    return faulty_trotter(plan, noise)
+
+
+def averaged_factor(h, sigma):
+    """The averaged jitter channel of one term at zero time: its dephasing factor."""
+    return AveragedTimingJitter(sigma).channel(TrotterPlan((h,), t=0.0, n=1))
+
+
+def complex_averaged_channel(plan, sigma):
+    """The averaged jitter channel as complex supermatrix products: per term a
+    dephasing factor in its eigenbasis times its evolution, one step, then
+    the complex matrix power."""
+    step = np.eye(plan.dim**2, dtype=complex)
+    for h in plan.terms:
+        evals, w = np.linalg.eigh(h)
+        gaps = evals[:, None] - evals[None, :]
+        basis = linalg.unitary_superop(w)
+        lam = linalg.vec(np.exp(-0.5 * (plan.a * sigma * gaps) ** 2))
+        err = (basis * lam) @ basis.conj().T
+        step = err @ evolution_superop(h, plan.tau) @ step
+    return np.linalg.matrix_power(step, plan.n)
+
+
+def complex_depolarizing_channel(plan, p):
+    step = depolarizing_superop(p, plan.dim) @ linalg.unitary_superop(trotter_step_unitary(plan))
+    return np.linalg.matrix_power(step, plan.n)
+
+
+def dense_basis_change(s):
+    """``Q^dag S Q`` with the imaginary part kept."""
+    q_dag = linalg.hermitian_basis_rows(np.eye(s.shape[0]))
+    return q_dag @ s @ q_dag.conj().T
 
 
 def j_dist(ta, tb):
@@ -159,10 +200,10 @@ class TestDepolarizing:
 
 class TestAveragedJitter:
     def test_zero_width_is_identity(self):
-        np.testing.assert_allclose(averaged_jitter_superop(SX, 0.0), np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(averaged_factor(SX, 0.0), np.eye(4), atol=1e-14)
 
     def test_sigma_z_dephasing_factor(self):
-        t = averaged_jitter_superop(SZ, 1.0)
+        t = averaged_factor(SZ, 1.0)
         rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         out = linalg.unvec(t @ linalg.vec(rho))
         assert out[0, 0] == pytest.approx(0.5, abs=1e-12)
@@ -182,13 +223,13 @@ class TestAveragedJitter:
         rho01 = 0.5
         mc_mean = rho01 * phases.mean()
         se = rho01 * phases.std(ddof=1) / np.sqrt(n_samples)
-        t = averaged_jitter_superop(h, sigma)
+        t = averaged_factor(h, sigma)
         out = linalg.unvec(t @ linalg.vec(np.full((2, 2), 0.5, dtype=complex)))
         assert abs(out[0, 1] - mc_mean) <= 3.0 * max(se, 1e-12)
 
     def test_commutes_with_own_evolution(self):
         h = SZ + 0.3 * SX
-        avg = averaged_jitter_superop(h, 0.4)
+        avg = averaged_factor(h, 0.4)
         evo = evolution_superop(h, 1.1)
         np.testing.assert_allclose(avg @ evo, evo @ avg, atol=1e-10)
 
@@ -244,25 +285,27 @@ class TestSampledJitter:
         alone = sampled_trotter_unitary(plan, 0.1, [np.random.default_rng(seeds[2])])
         np.testing.assert_array_equal(alone[0], forward[2])
 
-    def test_sweep_row_is_the_one_run_stack(self):
-        # a jitter sweep builds its channel through faulty_trotter from the
-        # point's generator; that channel is the one-run stack's unitary
-        config = ExperimentConfig(
-            terms=tuple(ising_chain(2)),
-            label="ising:2",
-            noise=TimingJitter(0.05),
-            t=0.3,
-            n_grid=(1, 3, 7),
-            master_seed=4,
-        )
-        rows = sweep_rows(config)
-        for index, n in enumerate(config.n_grid):
-            plan = TrotterPlan(config.terms, t=config.t, n=n)
-            rng = seeded_rng(config.master_seed, index)
-            u = sampled_trotter_unitary(plan, config.noise.sigma, [rng])[0]
-            faulty = faulty_trotter(plan, config.noise, seeded_rng(config.master_seed, index))
-            assert np.array_equal(faulty, linalg.unitary_superop(u))
-            assert rows[index][2] == j_distance(linalg.unitary_superop(u), ideal_map(plan))
+    @pytest.mark.parametrize("qubits", [1, 2, 4])
+    def test_preallocated_table_gives_the_stacked_runs(self, qubits):
+        # oracle: the sampler as it was when it stacked a list of per-run
+        # tables; filling one preallocated table must not move a bit
+        def stacked_sampler(plan, sigma, rngs):
+            deltas = np.stack([jitter_deltas(plan, sigma, rng) for rng in rngs])
+            eigs = [np.linalg.eigh(h) for h in plan.terms]
+            u = np.eye(plan.dim, dtype=complex)
+            for i in range(plan.n):
+                for j, (evals, evecs) in enumerate(eigs):
+                    phases = np.exp(1j * (plan.tau + plan.a * deltas[:, i, j])[:, None] * evals)
+                    u = ((evecs * phases[:, None, :]) @ evecs.conj().T) @ u
+            return u
+
+        terms = (SZ, SX) if qubits == 1 else ising_chain(qubits)
+        for n, a in ((1, 1.0), (16, 2.5)):
+            plan = TrotterPlan(terms, t=0.4, n=n, a=a)
+            seeds = range(5)
+            got = sampled_trotter_unitary(plan, 0.05, [np.random.default_rng(s) for s in seeds])
+            want = stacked_sampler(plan, 0.05, [np.random.default_rng(s) for s in seeds])
+            assert np.array_equal(got, want)
 
     def test_draw_statistics(self):
         sigma = 0.3
@@ -311,19 +354,15 @@ class TestFaultyTrotter:
         plan = ising_plan()
         ref = trotter_ideal(plan)
         rng = np.random.default_rng(0)
-        np.testing.assert_allclose(faulty_trotter(plan, TimingJitter(0.0), rng), ref, atol=1e-12)
+        np.testing.assert_allclose(sampled_channel(plan, 0.0, rng), ref, atol=1e-12)
         np.testing.assert_allclose(faulty_trotter(plan, AveragedTimingJitter(0.0)), ref, atol=1e-12)
         np.testing.assert_allclose(faulty_trotter(plan, Depolarizing(0.0)), ref, atol=1e-12)
         np.testing.assert_allclose(faulty_trotter(plan, Decoherence(0.0)), ref, atol=1e-12)
 
-    def test_jitter_requires_rng(self):
-        with pytest.raises(ValueError, match="rng"):
-            faulty_trotter(qubit_plan(), TimingJitter(0.1))
-
     def test_jitter_bit_reproducible(self):
         plan = ising_plan()
-        a = faulty_trotter(plan, TimingJitter(0.05), np.random.default_rng(1234))
-        b = faulty_trotter(plan, TimingJitter(0.05), np.random.default_rng(1234))
+        a = sampled_channel(plan, 0.05, np.random.default_rng(1234))
+        b = sampled_channel(plan, 0.05, np.random.default_rng(1234))
         assert np.array_equal(a, b)
 
     def test_depol_full_strength_erases_everything(self):
@@ -373,8 +412,7 @@ class TestFaultyTrotter:
     )
     def test_channels_are_cptp(self, noise):
         plan = ising_plan(t=0.3, n=4)
-        rng = np.random.default_rng(42)
-        t = faulty_trotter(plan, noise, rng)
+        t = channel_of(plan, noise, np.random.default_rng(42))
         j = linalg.super_to_choi(t)
         d = plan.dim
         np.testing.assert_allclose(j, j.conj().T, atol=1e-9)
@@ -392,7 +430,7 @@ class TestFaultyTrotter:
         dists = []
         for run in range(50):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(run,)))
-            dists.append(j_dist(faulty_trotter(plan, TimingJitter(sigma), rng), ideal))
+            dists.append(j_dist(sampled_channel(plan, sigma, rng), ideal))
         avg_dist = j_dist(faulty_trotter(plan, AveragedTimingJitter(sigma)), ideal)
         assert avg_dist <= np.mean(dists) + 1e-9
 
@@ -403,6 +441,45 @@ class TestFaultyTrotter:
             full = j_dist(faulty_trotter(plan, noise), ideal_map(plan))
             step = j_dist(faulty_trotter(step_plan, noise), ideal_map(step_plan))
             assert full <= plan.n * step + 1e-9
+
+
+class TestHermitianBasisChannels:
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+    def test_real_power_matches_complex_products(self, qubits, n):
+        # oracle: the complex step products and complex matrix power the
+        # real-basis channels replaced
+        terms = (SZ, SX) if qubits == 1 else ising_chain(qubits)
+        plan = TrotterPlan(terms, t=0.3, n=n, a=1.3)
+        np.testing.assert_allclose(
+            faulty_trotter(plan, AveragedTimingJitter(0.05)),
+            complex_averaged_channel(plan, 0.05),
+            rtol=0,
+            atol=1e-11,
+        )
+        np.testing.assert_allclose(
+            faulty_trotter(plan, Depolarizing(0.01)),
+            complex_depolarizing_channel(plan, 0.01),
+            rtol=0,
+            atol=1e-11,
+        )
+
+    @pytest.mark.parametrize("qubits", [1, 2, 3])
+    def test_package_maps_are_real_in_the_basis(self, qubits):
+        terms = [SZ, SX] if qubits == 1 else ising_chain(qubits)
+        d = 2**qubits
+        h = sum(terms[1:], start=terms[0].copy())
+        maps = {
+            "unitary": evolution_superop(h, 0.7),
+            "dephasing": averaged_factor(h, 0.3),
+            "depolarizing": depolarizing_superop(0.2, d),
+            "commutator defect": commutator_defect_map(terms),
+            "jitter defect": jitter_defect_map(terms),
+        }
+        for name, s in maps.items():
+            r = dense_basis_change(s)
+            assert np.abs(r.imag).max() <= 1e-13, name
+            np.testing.assert_allclose(linalg.to_hermitian_basis(s), r.real, rtol=0, atol=1e-13)
 
 
 class TestRescaling:

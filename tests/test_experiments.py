@@ -384,16 +384,10 @@ class TestReadmeExample:
             assert f"{float(got):.{len(want.lstrip('0.'))}g}" == want, (got, want)
 
 
-# ising:2 J-only sweeps at a != 1 under the three noise models the README
-# example does not cover, pinned to every printed digit and the config hash
+# ising:2 J-only sweeps at a != 1 under the two channel noise models the
+# README example does not cover, pinned to every printed digit and the config
+# hash
 PINNED_SWEEPS = {
-    "jitter:0.02": """\
-# config 0beb973ca122 trotopt 0.1.0
-n,metric,exact_distance,bound,benchmark,status
-1,j,0.232313439135,0.262194458502,1.875,ok
-3,j,0.238269444579,0.107760865566,1.875,ok
-8,j,0.26068913257,0.0929079433489,1.875,ok
-""",
     "depol:0.001": """\
 # config 4139eafdb49c trotopt 0.1.0
 n,metric,exact_distance,bound,benchmark,status
@@ -421,6 +415,27 @@ def test_sweep_digits_pinned(noise):
     assert format_csv(SWEEP_HEADER, sweep_rows(config), config) == PINNED_SWEEPS[noise]
 
 
+def test_sweep_refuses_sampled_jitter_exit_two(tmp_path, capsys, monkeypatch):
+    # one sampled run has no averaged bound to print beside it; the refusal
+    # comes before any defect norm or channel is computed
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be computed")
+
+    monkeypatch.setattr("trotopt.experiments.faulty_trotter", never)
+    monkeypatch.setattr("trotopt.experiments.defect_strengths", never)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(
+        "hamiltonian = ising:2\nt = 0.3\na = 1.7\nnoise = jitter:0.02\n"
+        "metrics = j\nn_grid = 1,3,8\nseed = 11\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "rows.csv"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "avg-jitter" in err and "montecarlo" in err
+    assert not out.exists()
+
+
 # j,heuristic sweeps under the default averaged jitter, pinned to every
 # printed digit: the see-saw's restarts ascend as one stack and must end where
 # each ended when they ran one after another
@@ -430,7 +445,7 @@ PINNED_HEURISTIC_SWEEPS = {
 n,metric,exact_distance,bound,benchmark,status
 1,heuristic,0.0400694536911,0.041,1.5,ok
 1,j,0.0284216657437,0.028944826375,1.875,ok
-2,heuristic,0.0204622936895,0.022,1.5,ok
+2,heuristic,0.0204622936894,0.022,1.5,ok
 2,j,0.0146440185956,0.0154632458788,1.875,ok
 3,heuristic,0.0142009202799,0.0163333333333,1.5,ok
 3,j,0.0103046118271,0.0114097557985,1.875,ok

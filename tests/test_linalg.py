@@ -112,19 +112,23 @@ class TestTraceNorm:
         assert linalg.trace_norm(np.zeros((3, 3))) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_gram_eigenvalues(self):
+        # on Hermitian inputs the singular values are the |eigenvalues|
         rng = np.random.default_rng(21)
         for d in (2, 5, 8):
-            m = random_complex(rng, d)
+            m = random_hermitian(rng, d)
             gram = np.linalg.eigvalsh(m.conj().T @ m)
             expected = float(np.sqrt(np.clip(gram, 0, None)).sum())
             assert linalg.trace_norm(m) == pytest.approx(expected, rel=1e-10)
+            assert linalg.trace_norm(m) == pytest.approx(
+                float(np.abs(np.linalg.eigvalsh(m)).sum()), rel=1e-13
+            )
 
     def test_norm_axioms(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             d = int(rng.integers(2, 6))
-            a = random_complex(rng, d)
-            b = random_complex(rng, d)
+            a = random_hermitian(rng, d)
+            b = random_hermitian(rng, d)
             s = float(rng.uniform(-3, 3))
             assert linalg.trace_norm(a) >= 0.0
             assert linalg.trace_norm(s * a) == pytest.approx(abs(s) * linalg.trace_norm(a), abs=1e-10)
@@ -133,7 +137,7 @@ class TestTraceNorm:
     def test_unitary_invariance(self):
         rng = np.random.default_rng(23)
         for d in (2, 4):
-            m = random_complex(rng, d)
+            m = random_hermitian(rng, d)
             u = random_unitary(rng, d)
             assert linalg.trace_norm(u @ m @ u.conj().T) == pytest.approx(
                 linalg.trace_norm(m), abs=1e-10
@@ -142,6 +146,68 @@ class TestTraceNorm:
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError, match="square"):
             linalg.trace_norm(np.ones((2, 3)))
+
+    def test_rejects_non_hermitian(self):
+        rng = np.random.default_rng(24)
+        m = random_hermitian(rng, 4)
+        # roundoff-sized asymmetry is taken as its Hermitian part
+        off = m.copy()
+        off[0, 1] += 0.5 * linalg.TRACE_NORM_HERMITIAN_ATOL
+        assert linalg.trace_norm(off) == pytest.approx(linalg.trace_norm(m), abs=1e-8)
+        off[0, 1] += linalg.TRACE_NORM_HERMITIAN_ATOL
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.trace_norm(off)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.trace_norm(random_complex(rng, 3))
+
+
+def hermitian_basis_element(d, p):
+    """Element ``p = a + d*b`` of the Hermitian matrix-unit basis, by definition."""
+    a, b = p % d, p // d
+    e = np.zeros((d, d), dtype=complex)
+    if a == b:
+        e[a, a] = 1.0
+    elif a < b:
+        e[a, b] = e[b, a] = np.sqrt(0.5)
+    else:
+        e[a, b], e[b, a] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+    return e
+
+
+class TestHermitianBasis:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
+    def test_basis_is_orthonormal_and_hermitian(self, d):
+        q = linalg.hermitian_basis_rows(np.eye(d * d)).conj().T
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(d * d), rtol=0, atol=1e-14)
+        for p in range(d * d):
+            np.testing.assert_array_equal(q[:, p], linalg.vec(hermitian_basis_element(d, p)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
+    def test_round_trip_is_identity(self, d):
+        rng = np.random.default_rng(80 + d)
+        r = rng.standard_normal((d * d, d * d))
+        s = linalg.from_hermitian_basis(r)
+        np.testing.assert_allclose(linalg.to_hermitian_basis(s), r, rtol=0, atol=1e-13)
+        # and from the supermatrix side, on a Hermiticity-preserving map
+        kraus = [random_complex(rng, d) for _ in range(3)]
+        s = sum(np.kron(k.conj(), k) for k in kraus[1:]) - np.kron(kraus[0].conj(), kraus[0])
+        np.testing.assert_allclose(
+            linalg.from_hermitian_basis(linalg.to_hermitian_basis(s)), s, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_entries_are_basis_expectations(self, d):
+        # oracle: R[k, l] = tr(B_k S(B_l)) from the explicit basis elements
+        rng = np.random.default_rng(90 + d)
+        u = random_unitary(rng, d)
+        s = 0.6 * linalg.unitary_superop(u) + 0.4 * np.outer(
+            linalg.vec(np.eye(d)), linalg.vec(np.eye(d))
+        ) / d
+        basis = [hermitian_basis_element(d, p) for p in range(d * d)]
+        want = np.array(
+            [[np.trace(bk @ linalg.unvec(s @ linalg.vec(bl))).real for bl in basis] for bk in basis]
+        )
+        np.testing.assert_allclose(linalg.to_hermitian_basis(s), want, rtol=0, atol=1e-14)
 
 
 class TestPartialTrace:

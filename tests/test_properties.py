@@ -1,5 +1,6 @@
 """Property tests: the diamond SDP and the see-saw heuristic on random
-channels and unitaries, and the noise models on random term groups.
+channels and unitaries, the Hermitian operator basis on random channels, and
+the noise models on random term groups.
 
 Examples are drawn by hypothesis from a seed derived from each test, so every
 run checks the same cases; ``max_examples`` keeps the suite time bounded.
@@ -17,9 +18,18 @@ from trotopt.channels import (
     TimingJitter,
     TrotterPlan,
     faulty_trotter,
+    sampled_trotter_unitary,
 )
 from trotopt.hamiltonians import terms_from_text
-from trotopt.linalg import choi_from_super, partial_trace, super_to_choi, unitary_superop
+from trotopt.linalg import (
+    choi_from_super,
+    from_hermitian_basis,
+    hermitian_basis_rows,
+    partial_trace,
+    super_to_choi,
+    to_hermitian_basis,
+    unitary_superop,
+)
 from trotopt.metrics import (
     diamond_distance,
     diamond_norm_hp,
@@ -152,6 +162,25 @@ def hamiltonian_texts(draw):
     return f"{sites} | " + " | ".join(draw(groups))
 
 
+@PROPERTY
+@given(seed=SEEDS, n=st.integers(1, 40))
+def test_real_basis_powers_channels_at_d8(seed, n):
+    # a channel difference is real in the Hermitian basis, and a channel's
+    # real power converts back to its complex power
+    rng = np.random.default_rng(seed)
+    ta, tb = random_channel(rng, 8), random_channel(rng, 8)
+    q_dag = hermitian_basis_rows(np.eye(64))
+    dense = q_dag @ (ta - tb) @ q_dag.conj().T
+    assert np.abs(dense.imag).max() <= 1e-13
+    np.testing.assert_allclose(to_hermitian_basis(ta - tb), dense.real, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(
+        from_hermitian_basis(np.linalg.matrix_power(to_hermitian_basis(ta), n)),
+        np.linalg.matrix_power(ta, n),
+        rtol=0,
+        atol=1e-12,
+    )
+
+
 NOISE_MODELS = [
     TimingJitter(0.1),
     AveragedTimingJitter(0.1),
@@ -172,7 +201,12 @@ NOISE_MODELS = [
 def test_text_hamiltonians_give_cptp_channels(noise, text, t, n, a, seed):
     # a jitter channel is one sampled run, drawn from the generator
     plan = TrotterPlan(tuple(terms_from_text(text)), t=t, n=n, a=a)
-    choi = super_to_choi(faulty_trotter(plan, noise, np.random.default_rng(seed)))
+    if isinstance(noise, TimingJitter):
+        rng = np.random.default_rng(seed)
+        channel = unitary_superop(sampled_trotter_unitary(plan, noise.sigma, (rng,))[0])
+    else:
+        channel = faulty_trotter(plan, noise)
+    choi = super_to_choi(channel)
     d = plan.dim
     np.testing.assert_allclose(choi, choi.conj().T, atol=1e-9)
     assert np.linalg.eigvalsh(choi).min() >= -1e-9
