@@ -29,7 +29,13 @@ All supermatrices use the column-stacking convention of
 :mod:`trotopt.linalg`.  A noisy step that is raised to the ``n``-th power
 (averaged jitter, depolarizing) is carried as its real matrix in the
 Hermitian operator basis of :func:`trotopt.linalg.to_hermitian_basis`, so
-the power runs in real arithmetic, and is converted back once.
+the power runs in real arithmetic, block by block over the step's exact
+zeros (:func:`trotopt.linalg.blocks`), and is converted back once.  The
+averaged-jitter factors are built on the blocks of their terms' union
+pattern from ``n``-independent parts (per term and block, the real and
+imaginary parts of ``Q^dag kron(conj(W), W)`` and the energy gaps), which a
+private one-entry memo keeps for the last term set, keyed on the terms'
+shapes and bytes; a grid over ``n`` builds them once.
 Sampled-jitter randomness flows through one
 caller-supplied ``numpy.random.Generator`` per circuit run (default PCG64);
 each run draws its own ``rng.normal(0, sigma, size=(n, k))`` table in
@@ -47,6 +53,8 @@ from typing import get_args
 import numpy as np
 
 from .linalg import (
+    block_eigh,
+    block_stacks,
     from_hermitian_basis,
     hermitian_basis_rows,
     hermitian_exp,
@@ -150,17 +158,19 @@ class AveragedTimingJitter(_GateJitter):
         ``W``: ``B diag(v) B^dag`` with ``B = kron(conj(W), W)`` and
         ``v = vec(exp(-(a sigma g)^2 / 2 + i tau g))`` over the energy gaps
         ``g``.  In the Hermitian basis it is ``Re(A diag(v) A^dag)`` with
-        ``A = Q^dag B``, two real products."""
+        ``A = Q^dag B``, two real products on each stack of equal-size blocks
+        of the terms' union pattern (:func:`_factor_blocks`)."""
         sigma = plan.a * self.sigma
-        step = None
-        for h in plan.terms:
-            evals, w = np.linalg.eigh(h)
-            gaps = evals[:, None] - evals[None, :]
-            v = vec(np.exp(-0.5 * (sigma * gaps) ** 2 + 1j * plan.tau * gaps))
-            a = hermitian_basis_rows(unitary_superop(w))
-            av = a * v
-            factor = av.real @ a.real.T + av.imag @ a.imag.T
-            step = factor if step is None else factor @ step
+        step = np.zeros((plan.dim**2, plan.dim**2))
+        for i, factors in _factor_blocks(plan.terms):
+            block = None
+            for a_re, a_im, gaps in factors:
+                v = np.exp(-0.5 * (sigma * gaps) ** 2 + 1j * plan.tau * gaps)[:, None, :]
+                av_re = a_re * v.real - a_im * v.imag
+                av_im = a_re * v.imag + a_im * v.real
+                factor = av_re @ a_re.swapaxes(1, 2) + av_im @ a_im.swapaxes(1, 2)
+                block = factor if block is None else factor @ block
+            step[i[:, :, None], i[:, None, :]] = block
         return _power(step, plan.n)
 
     def costs(self, strengths, t: float, a: float, dim: int) -> tuple[float, float, float]:
@@ -223,8 +233,40 @@ NOISES = {noise.name: noise for noise in get_args(NoiseModel)}
 
 def _power(step: np.ndarray, n: int) -> np.ndarray:
     """Supermatrix of ``n`` repetitions of a step given as its real matrix in
-    the Hermitian basis; the power runs in real arithmetic."""
-    return from_hermitian_basis(np.linalg.matrix_power(step, n))
+    the Hermitian basis; the power runs in real arithmetic, block by block
+    (one stacked ``matrix_power`` per block size)."""
+    out = np.zeros_like(step)
+    for i in block_stacks(step):
+        square = (i[:, :, None], i[:, None, :])
+        out[square] = np.linalg.matrix_power(step[square], n)
+    return from_hermitian_basis(out)
+
+
+# The last term set's averaged-jitter blocks, keyed on the terms' shapes and
+# bytes; one entry, so a grid over n builds them once and a new term set
+# replaces them.
+_FACTOR_MEMO: dict = {}
+
+
+def _factor_blocks(terms: tuple[np.ndarray, ...]) -> list[tuple[np.ndarray, list]]:
+    """The ``n``-independent parts of the averaged-jitter factors, for each
+    stack ``i`` of :func:`trotopt.linalg.block_stacks` of the union pattern of
+    the terms' ``A_j = Q^dag kron(conj(W_j), W_j)`` (``W_j`` from
+    :func:`trotopt.linalg.block_eigh`): ``i`` and, per term in order, the
+    real and imaginary parts of ``A_j`` on the stack and the vec'd energy
+    gaps there."""
+    key = tuple((h.shape, h.tobytes()) for h in terms)
+    if key not in _FACTOR_MEMO:
+        eigs = [block_eigh(h) for h in terms]
+        bases = [hermitian_basis_rows(unitary_superop(w)) for _, w in eigs]
+        gaps = [vec(evals[:, None] - evals[None, :]) for evals, _ in eigs]
+        parts = []
+        for i in block_stacks(np.logical_or.reduce([b != 0 for b in bases])):
+            on_stack = [(b[i[:, :, None], i[:, None, :]], g[i]) for b, g in zip(bases, gaps)]
+            parts.append((i, [(a.real.copy(), a.imag.copy(), g) for a, g in on_stack]))
+        _FACTOR_MEMO.clear()
+        _FACTOR_MEMO[key] = parts
+    return _FACTOR_MEMO[key]
 
 
 def evolution_superop(h: np.ndarray, tau: float) -> np.ndarray:

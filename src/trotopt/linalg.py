@@ -16,8 +16,16 @@ a supermatrix to and from the basis of matrix units ``E_ii``,
 exists for every ``d``; each element of it touches at most two vec
 positions, so the change costs O(d^4) instead of two dense products.
 
-Everything here is plain dense numpy; matrices are expected to be small
-(system dimension up to 16, superoperators up to 256 x 256).
+Everything here is numpy on small matrices (system dimension up to 16,
+superoperators up to 256 x 256), split where the matrix allows it:
+:func:`blocks` reads the connected components of a matrix's *exact*
+nonzero pattern, and the eigensystems (:func:`block_eigh`,
+:func:`hermitian_exp`, :func:`trace_norm`) run block by block, one stacked
+call per block size.  Only entries that are exactly 0.0 separate blocks, with
+no tolerance, so a blockwise value is the value of the same matrix; a matrix
+with no exact zeros is one block and takes the dense path.  Eigenvectors sit
+at their block's own indices, so the zeros survive the products, basis
+changes and powers built from them.
 """
 
 from __future__ import annotations
@@ -58,8 +66,60 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
+def blocks(m: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the symmetrized exact nonzero pattern
+    ``(m != 0) | (m != 0).T``, as ascending index arrays ordered by their
+    smallest index.
+
+    Every index starts labelled by itself; each round it takes the least
+    label among itself and its neighbours and then its label's label, until
+    no label moves.  Labels only fall and stay inside their component, so
+    each component ends labelled by its smallest index.
+    """
+    m = _as_square(m, "blocks argument")
+    linked = m != 0
+    linked = linked | linked.T | np.eye(m.shape[0], dtype=bool)
+    label = np.arange(m.shape[0])
+    while True:
+        nxt = np.where(linked, label, label.size).min(axis=1)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order])) + 1
+    return np.split(order, starts)
+
+
+def block_stacks(m: np.ndarray) -> list[np.ndarray]:
+    """The :func:`blocks` of ``m`` grouped by size, one ``(count, size)``
+    index array per size in order of first appearance: ``x[i[:, :, None],
+    i[:, None, :]]`` gathers the ``count`` diagonal blocks of that size of any
+    matrix ``x`` as one stack, and assigning to it scatters one back."""
+    parts = blocks(m)
+    sizes = np.fromiter(map(len, parts), int, len(parts))
+    starts = np.cumsum(sizes) - sizes
+    order = np.concatenate(parts)
+    return [order[starts[sizes == s, None] + np.arange(s)] for s in dict.fromkeys(sizes.tolist())]
+
+
+def block_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a Hermitian matrix block by block: eigenvalues ``e`` and a
+    unitary ``W`` with ``h == W diag(e) W^dag``, ``W`` exactly zero outside
+    the blocks of ``h`` and each block's eigenpairs at its own indices
+    (ascending within a block).  One stacked ``eigh`` per block size."""
+    evals = np.empty(h.shape[0])
+    evecs = np.zeros(h.shape, dtype=np.result_type(h.dtype, float))
+    for i in block_stacks(h):
+        e, w = np.linalg.eigh(h[i[:, :, None], i[:, None, :]])
+        evals[i] = e
+        evecs[i[:, :, None], i[:, None, :]] = w
+    return evals, evecs
+
+
 def hermitian_exp(h: np.ndarray, theta: float) -> np.ndarray:
-    """Unitary ``exp(i * theta * H)`` of a Hermitian matrix via eigendecomposition.
+    """Unitary ``exp(i * theta * H)`` of a Hermitian matrix via its blockwise
+    eigendecomposition; exactly zero outside the blocks of ``H``.
 
     :param h: Hermitian matrix.  Rejected if it deviates from Hermiticity by
         more than ``1e-12`` in max-abs entry.
@@ -68,20 +128,21 @@ def hermitian_exp(h: np.ndarray, theta: float) -> np.ndarray:
     :return: unitary matrix of the same shape as ``h``.
     """
     h = require_hermitian(h, "hermitian_exp argument")
-    evals, evecs = np.linalg.eigh(h)
+    evals, evecs = block_eigh(h)
     phases = np.exp(1j * float(theta) * evals)
     return (evecs * phases) @ evecs.conj().T
 
 
 def trace_norm(m: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix: the sum of ``|eigvalsh|`` of its
-    Hermitian part.
+    Hermitian part, taken block by block, one stacked call per block size.
 
     Raises ``ValueError`` for a matrix farther than
     ``TRACE_NORM_HERMITIAN_ATOL`` from Hermitian in max-abs entry.
     """
-    m = require_hermitian(m, "trace_norm argument", TRACE_NORM_HERMITIAN_ATOL)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(hermitize(m)))))
+    m = hermitize(require_hermitian(m, "trace_norm argument", TRACE_NORM_HERMITIAN_ATOL))
+    evals = [np.linalg.eigvalsh(m[i[:, :, None], i[:, None, :]]).ravel() for i in block_stacks(m)]
+    return float(np.sum(np.abs(np.concatenate(evals))))
 
 
 def vec(m: np.ndarray) -> np.ndarray:

@@ -4,14 +4,23 @@ Trace distances here follow the unhalved convention
 ``D(rho, sigma) = trace_norm(rho - sigma)`` with range [0, 2], matching the
 channel-level measures: the J-distance is the trace distance of normalized
 Choi states and the diamond distance the completely-bounded (stabilized)
-norm of the difference map.  For a pair of unitary channels the diamond
-distance collapses to the chord spanning the shortest arc of the unit circle
-that holds the eigenvalues of ``U V^dag`` (2 when no arc shorter than pi
-holds them), which avoids the SDP entirely.
+norm of the difference map.  Every metric has a closed form on a pair of
+unitary channels, over the eigenvalues ``exp(i theta_k)`` of ``U V^dag``, so
+no superoperator is built for them:
 
-The unstabilized induced trace norm has no closed form; it is estimated by
-multistart alternating ascent over pure input states and always reported as
-a lower bound.
+* the diamond distance is the chord spanning the shortest arc of the unit
+  circle that holds those eigenvalues (2 when no arc shorter than pi holds
+  them), which avoids the SDP entirely;
+* the Choi states are pure, so the J-distance is
+  ``2 sqrt(1 - |tr(U^dag V)|^2 / d^2)``, evaluated as
+  ``(2/d) sqrt(2 sum_{k,l} sin^2((theta_k - theta_l)/2))``, which does not
+  cancel for nearly equal unitaries;
+* an ancilla does not help to tell two unitary channels apart, so the
+  unstabilized induced trace distance equals the diamond distance.
+
+Otherwise the unstabilized induced trace norm has no closed form; it is
+estimated by multistart alternating ascent over pure input states and always
+reported as a lower bound.
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ from .linalg import (
     partial_trace,
     super_to_choi,
     trace_norm,
-    unitary_superop,
     unvec,
 )
 
@@ -39,10 +47,9 @@ class _ChannelMetric:
     ``name`` is the config spelling; ``benchmark(d)`` the distance of complete
     noise from a unitary channel; ``norm`` applies to Hermiticity-preserving
     maps, ``distance`` to a pair of channels and ``unitary_distance`` to a
-    pair of unitaries (by default ``distance`` of their unitary channels;
-    ``Diamond`` overrides it with the closed form).  Channel distances cannot
-    exceed 2, so the diamond and heuristic distances clip values above that;
-    norms are never clipped.
+    pair of unitaries, in closed form.  Channel distances cannot exceed 2, so
+    the diamond and heuristic distances clip values above that; norms are
+    never clipped.
     ``max_dim`` is the largest system dimension the metric can evaluate.
     The methods look the module-level functions up at call time, so wrapping
     those wraps every path.
@@ -52,9 +59,6 @@ class _ChannelMetric:
 
     def benchmark(self, d: int) -> float:
         return noise_benchmarks(d)[1]
-
-    def unitary_distance(self, u, v) -> float:
-        return self.distance(unitary_superop(u), unitary_superop(v))
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,9 @@ class JDistance(_ChannelMetric):
     def distance(self, ta, tb, sdp_tol: float = 1e-7) -> float:
         return j_distance(ta, tb)
 
+    def unitary_distance(self, u, v) -> float:
+        return j_distance_unitary(u, v)
+
 
 @dataclass(frozen=True)
 class InducedTraceHeuristic(_ChannelMetric):
@@ -110,6 +117,9 @@ class InducedTraceHeuristic(_ChannelMetric):
 
     def distance(self, ta, tb, sdp_tol: float = 1e-7) -> float:
         return induced_trace_distance_heuristic(ta, tb, self)
+
+    def unitary_distance(self, u, v) -> float:
+        return diamond_distance_unitary(u, v)
 
 
 Metric = Diamond | JDistance | InducedTraceHeuristic
@@ -188,7 +198,7 @@ def noise_benchmarks(d: int) -> tuple[float, float]:
     return 2.0 - 2.0 / d, 2.0 - 2.0 / (d * d)
 
 
-# -- diamond distance ----------------------------------------------------
+# -- unitary pairs in closed form, and the diamond distance ------------
 
 
 def _check_unitary(u: np.ndarray, name: str) -> np.ndarray:
@@ -201,6 +211,27 @@ def _check_unitary(u: np.ndarray, name: str) -> np.ndarray:
     return u
 
 
+def _product_eigenvalues(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``U V^dag`` for two unitaries of equal dimension."""
+    u = _check_unitary(u, "first unitary")
+    v = _check_unitary(v, "second unitary")
+    if u.shape != v.shape:
+        raise ValueError(f"unitary dimensions differ: {u.shape} vs {v.shape}")
+    return np.linalg.eigvals(u @ v.conj().T)
+
+
+def j_distance_unitary(u: np.ndarray, v: np.ndarray) -> float:
+    """J-distance between two unitary channels, in closed form.
+
+    Over the eigenphases ``theta`` of ``U V^dag`` it is
+    ``(2/d) sqrt(2 sum_{k,l} sin^2((theta_k - theta_l)/2))``, which equals
+    ``2 sqrt(1 - |tr(U^dag V)|^2 / d^2)`` without its cancellation.
+    """
+    theta = np.angle(_product_eigenvalues(u, v))
+    s = np.sin(0.5 * (theta[:, None] - theta[None, :]))
+    return 2.0 / theta.size * math.sqrt(2.0 * float(np.sum(s * s)))
+
+
 def diamond_distance_unitary(u: np.ndarray, v: np.ndarray) -> float:
     """Diamond distance between two unitary channels, in closed form.
 
@@ -208,11 +239,7 @@ def diamond_distance_unitary(u: np.ndarray, v: np.ndarray) -> float:
     arc shorter than pi, the distance is the chord joining the arc's two
     ends; otherwise it is 2.  No SDP is needed.
     """
-    u = _check_unitary(u, "first unitary")
-    v = _check_unitary(v, "second unitary")
-    if u.shape != v.shape:
-        raise ValueError(f"unitary dimensions differ: {u.shape} vs {v.shape}")
-    evals = np.linalg.eigvals(u @ v.conj().T)
+    evals = _product_eigenvalues(u, v)
     evals = evals[np.argsort(np.angle(evals))]
     angles = np.angle(evals)
     # the largest gap between neighbouring angles, the wrap-around one last

@@ -1,15 +1,16 @@
 """Tests for ideal/faulty Trotter channel construction.
 
 Averaged noise channels are checked against Monte-Carlo oracles (sample means
-of the corresponding unitary-jitter channels) and against the complex
-supermatrix products they replaced, and the second-order error expansion
-against the exact supermatrix difference.
+of the corresponding unitary-jitter channels), against the complex
+supermatrix products they replaced and against the dense real-basis
+composition that the blockwise path replaced, and the second-order error
+expansion against the exact supermatrix difference.
 """
 
 import numpy as np
 import pytest
 
-from trotopt import linalg
+from trotopt import channels, linalg
 from trotopt.channels import (
     AveragedTimingJitter,
     Decoherence,
@@ -29,7 +30,9 @@ from trotopt.channels import (
     trotter_ideal,
     trotter_step_unitary,
 )
-from trotopt.hamiltonians import ising_chain
+from trotopt.experiments import default_n_grid
+from trotopt.hamiltonians import ising_chain, terms_from_text
+from trotopt.metrics import j_distance
 
 SZ = np.diag([1.0 + 0.0j, -1.0])
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -86,6 +89,31 @@ def complex_averaged_channel(plan, sigma):
 def complex_depolarizing_channel(plan, p):
     step = depolarizing_superop(p, plan.dim) @ linalg.unitary_superop(trotter_step_unitary(plan))
     return np.linalg.matrix_power(step, plan.n)
+
+
+def dense_real_averaged_channel(plan, sigma):
+    """The averaged jitter channel with every factor and the power dense:
+    per term a full ``eigh``, ``A = Q^dag kron(conj W, W)`` on all d^2
+    positions, ``Re(A diag(v) A^dag)``, and one real ``matrix_power``."""
+    step = None
+    for h in plan.terms:
+        evals, w = np.linalg.eigh(h)
+        gaps = evals[:, None] - evals[None, :]
+        v = linalg.vec(np.exp(-0.5 * (plan.a * sigma * gaps) ** 2 + 1j * plan.tau * gaps))
+        a = linalg.hermitian_basis_rows(linalg.unitary_superop(w))
+        av = a * v
+        factor = av.real @ a.real.T + av.imag @ a.imag.T
+        step = factor if step is None else factor @ step
+    return linalg.from_hermitian_basis(np.linalg.matrix_power(step, plan.n))
+
+
+def dense_real_depolarizing_channel(plan, p):
+    step = depolarizing_superop(p, plan.dim) @ linalg.unitary_superop(trotter_step_unitary(plan))
+    real_step = linalg.to_hermitian_basis(step)
+    return linalg.from_hermitian_basis(np.linalg.matrix_power(real_step, plan.n))
+
+
+ROTATED_ISING4 = "4 | x... ; .x.. ; ..x. ; ...x | zz.. ; .zz. ; ..zz"
 
 
 def dense_basis_change(s):
@@ -480,6 +508,72 @@ class TestHermitianBasisChannels:
             r = dense_basis_change(s)
             assert np.abs(r.imag).max() <= 1e-13, name
             np.testing.assert_allclose(linalg.to_hermitian_basis(s), r.real, rtol=0, atol=1e-13)
+
+
+class TestBlockwiseChannels:
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+    def test_blocks_match_dense_real_composition(self, qubits, n):
+        # oracle: the same real-basis composition on dense d^2 x d^2 matrices
+        terms = (SZ, SX) if qubits == 1 else ising_chain(qubits)
+        plan = TrotterPlan(terms, t=0.3, n=n, a=1.3)
+        np.testing.assert_allclose(
+            faulty_trotter(plan, AveragedTimingJitter(0.05)),
+            dense_real_averaged_channel(plan, 0.05),
+            rtol=0,
+            atol=1e-11,
+        )
+        np.testing.assert_allclose(
+            faulty_trotter(plan, Depolarizing(0.01)),
+            dense_real_depolarizing_channel(plan, 0.01),
+            rtol=0,
+            atol=1e-11,
+        )
+
+    def test_memo_follows_terms_and_parameters(self):
+        # two term sets of one shape alternate, then a, sigma and n change
+        # alone; every channel matches the dense composition, and the memo
+        # holds the last term set only
+        first = tuple(ising_chain(2))
+        second = tuple(terms_from_text("2 | x. ; .x | zz"))
+        cases = [(first, 3, 1.0, 0.05), (second, 3, 1.0, 0.05)] * 2
+        cases += [(second, 3, 1.7, 0.05), (second, 3, 1.7, 0.11), (second, 9, 1.7, 0.11)]
+        cases += [(tuple(h.copy() for h in first), 9, 1.7, 0.11)]
+        for terms, n, a, sigma in cases:
+            plan = TrotterPlan(terms, t=0.2, n=n, a=a)
+            np.testing.assert_allclose(
+                AveragedTimingJitter(sigma).channel(plan),
+                dense_real_averaged_channel(plan, sigma),
+                rtol=0,
+                atol=1e-12,
+            )
+            key = tuple((h.shape, h.tobytes()) for h in plan.terms)
+            assert list(channels._FACTOR_MEMO) == [key]
+
+    def test_ising4_step_splits_in_three_blocks(self):
+        # the speed of the 4-qubit averaged-jitter path rests on these blocks:
+        # Z-parity splits each system index set in two halves of 8
+        plan = TrotterPlan(ising_chain(4), t=0.1, n=1)
+        stacks = [i for i, _ in channels._factor_blocks(plan.terms)]
+        assert sorted(i.shape[1] for i in stacks for _ in i) == [64, 64, 128]
+        step = linalg.to_hermitian_basis(AveragedTimingJitter(0.01).channel(plan))
+        assert sorted(p.size for p in linalg.blocks(step)) == [64, 64, 128]
+
+    def test_rotated_chain_is_one_block_with_the_same_j_grid(self):
+        # the chain in the x <-> z rotated frame has no exact zeros to split
+        # on and takes the dense path; its J values are the same physics
+        ising = tuple(ising_chain(4))
+        rotated = tuple(terms_from_text(ROTATED_ISING4))
+        plan = TrotterPlan(rotated, t=0.1, n=1)
+        step = linalg.to_hermitian_basis(AveragedTimingJitter(0.01).channel(plan))
+        assert [p.size for p in linalg.blocks(step)] == [256]
+        for n in default_n_grid(1, 1000, 24):
+            values = []
+            for terms in (ising, rotated):
+                plan = TrotterPlan(terms, t=0.1, n=n)
+                faulty = faulty_trotter(plan, AveragedTimingJitter(0.01))
+                values.append(j_distance(faulty, ideal_map(plan)))
+            assert values[1] == pytest.approx(values[0], rel=0, abs=1e-11), n
 
 
 class TestRescaling:

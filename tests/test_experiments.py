@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trotopt import sdp
+from trotopt import metrics, sdp
 from trotopt.channels import (
     AveragedTimingJitter,
     Depolarizing,
@@ -536,6 +536,36 @@ class TestMonteCarlo:
             alone = montecarlo_rows(small_config(metrics=(metric,), **base))
             assert [r for r in both if r[2] == metric.name] == alone
 
+    def test_runs_use_the_unitary_closed_forms(self, monkeypatch):
+        # per-run values come from the closed forms, so the J-distance and
+        # the see-saw run once per grid point, on the averaged channel; the
+        # heuristic rows of the runs and their mean equal the diamond rows
+        calls = {"j": 0, "heuristic": 0}
+        real_j, real_h = metrics.j_distance, metrics.induced_trace_distance_heuristic
+
+        def counted_j(*args):
+            calls["j"] += 1
+            return real_j(*args)
+
+        def counted_h(*args):
+            calls["heuristic"] += 1
+            return real_h(*args)
+
+        monkeypatch.setattr(metrics, "j_distance", counted_j)
+        monkeypatch.setattr(metrics, "induced_trace_distance_heuristic", counted_h)
+        config = small_config(
+            noise=TimingJitter(0.03),
+            metrics=(JDistance(), Diamond(), InducedTraceHeuristic()),
+            runs=5,
+            n_grid=(2, 9),
+        )
+        rows = montecarlo_rows(config)
+        assert calls == {"j": 2, "heuristic": 2}
+        value = {(r[0], r[1], r[2]): r[3] for r in rows}
+        for run in [*map(str, range(5)), "mean"]:
+            for n in (2, 9):
+                assert value[(run, n, "heuristic")] == value[(run, n, "diamond")]
+
     def test_requires_sampled_jitter(self):
         with pytest.raises(ConfigError, match="sampled timing jitter"):
             montecarlo_rows(small_config())
@@ -684,6 +714,19 @@ class TestCli:
         b = tmp_path / "b.csv"
         assert cli.main(["montecarlo", "--config", str(cfg), "--out", str(a)]) == 0
         assert cli.main(["montecarlo", "--config", str(cfg), "--out", str(b), "--jobs", "2"]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_optimum_parallel_bytes_match_serial(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "hamiltonian = ising:3\nt = 0.1\nnoise = avg-jitter:0.01\n"
+            "n_grid = log:1:100:6\nmetrics = j\n",
+            encoding="utf-8",
+        )
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        assert cli.main(["optimum", "--config", str(cfg), "--out", str(a)]) == 0
+        assert cli.main(["optimum", "--config", str(cfg), "--out", str(b), "--jobs", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_metric_override(self, tmp_path):

@@ -26,6 +26,22 @@ def random_unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def permuted_block_matrix(rng, sizes, hermitian=False):
+    """A matrix dense on random diagonal blocks of the given sizes, each
+    block on a random index subset, and the blocks as index sets."""
+    d = sum(sizes)
+    perm = rng.permutation(d)
+    m = np.zeros((d, d), dtype=complex)
+    parts, start = [], 0
+    for size in sizes:
+        idx = perm[start : start + size]
+        start += size
+        block = random_hermitian(rng, size) if hermitian else random_complex(rng, size)
+        m[np.ix_(idx, idx)] = block
+        parts.append(np.sort(idx))
+    return m, sorted(parts, key=lambda p: p[0])
+
+
 def choi_by_definition(t):
     """Oracle: normalized Choi via the defining sum over matrix units."""
     d = int(round(np.sqrt(t.shape[0])))
@@ -95,6 +111,16 @@ class TestHermitianExp:
             prod = linalg.hermitian_exp(h, theta) @ linalg.hermitian_exp(h, -theta)
             np.testing.assert_allclose(prod, np.eye(d), atol=1e-10)
 
+    def test_exactly_zero_off_block(self):
+        rng = np.random.default_rng(13)
+        h, parts = permuted_block_matrix(rng, [3, 1, 2, 3], hermitian=True)
+        u = linalg.hermitian_exp(h, 0.7)
+        on_block = np.zeros(h.shape, dtype=bool)
+        for p in parts:
+            on_block[np.ix_(p, p)] = True
+        assert np.all(u[~on_block] == 0)
+        np.testing.assert_allclose(u, expm(0.7j * h), rtol=0, atol=1e-12)
+
     def test_rejects_non_hermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -106,7 +132,84 @@ class TestHermitianExp:
             linalg.hermitian_exp(m, 1.0)
 
 
+class TestBlocks:
+    def test_permuted_block_diagonal(self):
+        rng = np.random.default_rng(40)
+        for sizes in ([3, 1, 4, 2], [5, 5], [1, 7, 1]):
+            m, parts = permuted_block_matrix(rng, sizes)
+            got = linalg.blocks(m)
+            assert [p.tolist() for p in got] == [p.tolist() for p in parts]
+
+    def test_dense_matrix_is_one_block(self):
+        m = random_complex(np.random.default_rng(41), 6)
+        assert [p.tolist() for p in linalg.blocks(m)] == [list(range(6))]
+
+    def test_diagonal_matrix_is_all_singletons(self):
+        blocks = linalg.blocks(np.diag([2.0, -1.0, 0.5, 3.0]))
+        assert [p.tolist() for p in blocks] == [[0], [1], [2], [3]]
+
+    def test_order_and_symmetrized_pattern(self):
+        # one-sided links join as well as two-sided ones; a chain whose
+        # indices run out of order ends as one block; the zero row is its
+        # own block; blocks come by smallest index, each ascending
+        m = np.zeros((7, 7))
+        m[5, 0] = m[2, 5] = m[6, 2] = 1.0
+        m[3, 1] = -2.0
+        got = [p.tolist() for p in linalg.blocks(m)]
+        assert got == [[0, 2, 5, 6], [1, 3], [4]]
+        assert [p.tolist() for p in linalg.blocks(m.T)] == got
+
+    def test_only_exact_zeros_separate(self):
+        m = np.eye(3)
+        m[0, 2] = 1e-300
+        assert [p.tolist() for p in linalg.blocks(m)] == [[0, 2], [1]]
+        m[0, 2] = -0.0
+        assert [p.tolist() for p in linalg.blocks(m)] == [[0], [1], [2]]
+
+    def test_deterministic_across_calls(self):
+        m, _ = permuted_block_matrix(np.random.default_rng(42), [2, 3, 2, 1])
+        first = linalg.blocks(m)
+        for _ in range(3):
+            assert [p.tolist() for p in linalg.blocks(m.copy())] == [p.tolist() for p in first]
+
+    def test_stacks_group_equal_sizes(self):
+        m, parts = permuted_block_matrix(np.random.default_rng(43), [2, 3, 2, 1, 3])
+        stacks = linalg.block_stacks(m)
+        by_size = {}
+        for p in parts:
+            by_size.setdefault(p.size, []).append(p.tolist())
+        assert [s.tolist() for s in stacks] == list(by_size.values())
+
+
+class TestBlockEigh:
+    def test_reconstructs_and_stays_on_blocks(self):
+        rng = np.random.default_rng(44)
+        for sizes in ([4], [1, 1, 1], [3, 1, 4, 3]):
+            h, parts = permuted_block_matrix(rng, sizes, hermitian=True)
+            evals, w = linalg.block_eigh(h)
+            np.testing.assert_allclose((w * evals) @ w.conj().T, h, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(w.conj().T @ w, np.eye(h.shape[0]), rtol=0, atol=1e-12)
+            on_block = np.zeros(h.shape, dtype=bool)
+            for p in parts:
+                on_block[np.ix_(p, p)] = True
+            assert np.all(w[~on_block] == 0)
+            np.testing.assert_allclose(np.sort(evals), np.linalg.eigvalsh(h), rtol=0, atol=1e-12)
+
+    def test_real_input_keeps_real_vectors(self):
+        evals, w = linalg.block_eigh(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]]))
+        assert w.dtype == float
+        np.testing.assert_allclose(evals, [1.0, 3.0, 5.0], rtol=0, atol=1e-14)
+        assert w[2, 2] == 1.0
+
+
 class TestTraceNorm:
+    def test_blockwise_matches_dense_eigvalsh(self):
+        rng = np.random.default_rng(45)
+        for sizes in ([3, 1, 4, 2], [8], [1] * 6, [2, 2, 5, 2]):
+            h, _ = permuted_block_matrix(rng, sizes, hermitian=True)
+            want = float(np.abs(np.linalg.eigvalsh(h)).sum())
+            assert linalg.trace_norm(h) == pytest.approx(want, rel=1e-13)
+
     def test_known_values(self):
         assert linalg.trace_norm(np.diag([3.0, -4.0])) == pytest.approx(7.0, abs=1e-12)
         assert linalg.trace_norm(np.zeros((3, 3))) == pytest.approx(0.0, abs=1e-12)

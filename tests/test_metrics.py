@@ -36,6 +36,7 @@ from trotopt.metrics import (
     induced_trace_distance_heuristic,
     induced_trace_norm_heuristic,
     j_distance,
+    j_distance_unitary,
     j_norm,
     noise_benchmarks,
     trace_distance,
@@ -267,6 +268,46 @@ class TestJDistance:
     def test_rejects_mismatched_dimensions(self):
         with pytest.raises(ValueError, match="differ"):
             j_distance(np.eye(4, dtype=complex), np.eye(9, dtype=complex))
+
+
+def nearby_unitary(rng, u, scale):
+    """``exp(i scale G) U`` for a random Hermitian ``G``."""
+    d = u.shape[0]
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    evals, w = np.linalg.eigh(g + g.conj().T)
+    return (w * np.exp(1j * scale * evals)) @ w.conj().T @ u
+
+
+class TestUnitaryClosedForms:
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_j_matches_superoperator_j(self, d):
+        rng = np.random.default_rng(100 + d)
+        for scale in (1e-7, 1e-3, 0.3, 5.0):
+            u = random_unitary(rng, d)
+            v = nearby_unitary(rng, u, scale)
+            want = j_distance(unitary_superop(u), unitary_superop(v))
+            assert j_distance_unitary(u, v) == pytest.approx(want, rel=1e-8, abs=1e-13)
+            assert JDistance().unitary_distance(u, v) == j_distance_unitary(u, v)
+
+    def test_j_keeps_digits_for_near_pairs(self):
+        # eigenphases (e, -e, 0, 0) give J = sqrt(2) e to leading order; the
+        # trace |tr(U^dag V)| rounds to d, so 1 - |tr|^2/d^2 would read 0
+        u = np.eye(4, dtype=complex)
+        v = np.diag(np.exp(1j * np.array([1e-9, -1e-9, 0.0, 0.0])))
+        assert 1.0 - abs(np.trace(v)) ** 2 / 16.0 == 0.0
+        assert j_distance_unitary(u, v) == pytest.approx(np.sqrt(2.0) * 1e-9, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_seesaw_never_beats_closed_form_heuristic(self, d):
+        rng = np.random.default_rng(200 + d)
+        for scale in (1e-3, 0.3, 5.0):
+            u = random_unitary(rng, d)
+            v = nearby_unitary(rng, u, scale)
+            closed = InducedTraceHeuristic().unitary_distance(u, v)
+            assert closed == diamond_distance_unitary(u, v)
+            seesaw = induced_trace_distance_heuristic(unitary_superop(u), unitary_superop(v))
+            assert seesaw <= closed + 1e-12
+            assert seesaw == pytest.approx(closed, abs=1e-6)
 
 
 class TestDiamondSdp:

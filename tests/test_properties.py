@@ -28,6 +28,7 @@ from trotopt.linalg import (
     partial_trace,
     super_to_choi,
     to_hermitian_basis,
+    trace_norm,
     unitary_superop,
 )
 from trotopt.metrics import (
@@ -36,6 +37,7 @@ from trotopt.metrics import (
     diamond_distance_unitary,
     induced_trace_distance_heuristic,
     j_distance,
+    j_distance_unitary,
 )
 
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -147,6 +149,38 @@ def test_heuristic_below_diamond(seed):
     ta, tb = random_channel(rng, 2), random_channel(rng, 2)
     heuristic = induced_trace_distance_heuristic(ta, tb)
     assert heuristic <= diamond_distance(ta, tb, tol=1e-7) + 1e-6
+
+
+@PROPERTY
+@given(seed=SEEDS, cuts=st.sets(st.integers(1, 7)))
+def test_blockwise_trace_norm_at_d8(seed, cuts):
+    # a Hermitian matrix dense on the diagonal blocks cut at ``cuts`` and
+    # conjugated by a random permutation: the blockwise trace norm equals
+    # the dense one
+    rng = np.random.default_rng(seed)
+    edges = [0, *sorted(cuts), 8]
+    h = np.zeros((8, 8), dtype=complex)
+    for lo, hi in zip(edges, edges[1:]):
+        g = rng.standard_normal((hi - lo, hi - lo)) + 1j * rng.standard_normal((hi - lo, hi - lo))
+        h[lo:hi, lo:hi] = g + g.conj().T
+    perm = rng.permutation(8)
+    h = h[np.ix_(perm, perm)]
+    assert trace_norm(h) == pytest.approx(float(np.abs(np.linalg.eigvalsh(h)).sum()), rel=1e-13)
+
+
+@PROPERTY
+@given(seed=SEEDS, scale=st.sampled_from([1e-6, 1e-2, 1.0, 10.0]))
+def test_unitary_closed_forms_at_d8(seed, scale):
+    # J of two unitary channels in closed form equals J of their
+    # superoperators; the see-saw never beats the closed-form heuristic
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, 8)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    evals, w = np.linalg.eigh(g + g.conj().T)
+    v = (w * np.exp(1j * scale * evals)) @ w.conj().T @ u
+    ta, tb = unitary_superop(u), unitary_superop(v)
+    assert j_distance_unitary(u, v) == pytest.approx(j_distance(ta, tb), rel=1e-9, abs=1e-13)
+    assert induced_trace_distance_heuristic(ta, tb) <= diamond_distance_unitary(u, v) + 1e-12
 
 
 @st.composite
