@@ -14,7 +14,7 @@ formula:
   dephases in each term's eigenbasis with weights
   ``exp(-(E_m - E_n)^2 (a*sigma)^2 / 2)``.
 * :class:`Depolarizing` -- one depolarizing factor of strength ``p`` per
-  Trotter step (``n`` insertions).
+  Trotter step (``n`` insertions), gathered in closed form.
 * :class:`Decoherence` -- a single depolarizing factor of strength
   ``1 - exp(-gamma * t / a)`` after the full product, modelling background
   decay that cares about wall-clock time only.
@@ -26,17 +26,16 @@ Each model carries everything the package asks of it: its config spelling
 :mod:`trotopt.tradeoff`.
 
 All supermatrices use the column-stacking convention of
-:mod:`trotopt.linalg`.  A noisy step that is raised to the ``n``-th power
-(averaged jitter, depolarizing) is carried as its real matrix in the
-Hermitian operator basis of :func:`trotopt.linalg.to_hermitian_basis`, so
-the power runs in real arithmetic, block by block over the step's exact
-zeros (:func:`trotopt.linalg.blocks`), and is converted back once.  The
-averaged-jitter factors are built on the blocks of their terms' union
-pattern from ``n``-independent parts (per term and block, the real and
-imaginary parts of ``Q^dag kron(conj(W), W)`` and the energy gaps), which a
-private one-entry memo keeps for the last term set, keyed on the terms'
-shapes and bytes; a grid over ``n`` builds them once.
-Sampled-jitter randomness flows through one
+:mod:`trotopt.linalg`.  The averaged-jitter factors do not commute, so its
+step is raised to the ``n``-th power, carried as its real matrix in the
+Hermitian operator basis of :func:`trotopt.linalg.hermitian_basis_rows`: the
+power runs in real arithmetic, block by block over the step's exact zeros
+(:func:`trotopt.linalg.blocks`), and is converted back once.  Its factors
+are built on the blocks of their terms' union pattern from ``n``-independent
+parts (per term and block, the real and imaginary parts of
+``Q^dag kron(conj(W), W)`` and the energy gaps), which a private one-entry
+memo keeps for the last term set, keyed on the terms' shapes and bytes; a
+grid over ``n`` builds them once.  Sampled-jitter randomness flows through one
 caller-supplied ``numpy.random.Generator`` per circuit run (default PCG64);
 each run draws its own ``rng.normal(0, sigma, size=(n, k))`` table in
 row-major order, so run ``r`` depends on its generator alone, runs with a
@@ -59,7 +58,6 @@ from .linalg import (
     hermitian_basis_rows,
     hermitian_exp,
     require_hermitian,
-    to_hermitian_basis,
     unitary_superop,
     vec,
 )
@@ -159,7 +157,8 @@ class AveragedTimingJitter(_GateJitter):
         ``v = vec(exp(-(a sigma g)^2 / 2 + i tau g))`` over the energy gaps
         ``g``.  In the Hermitian basis it is ``Re(A diag(v) A^dag)`` with
         ``A = Q^dag B``, two real products on each stack of equal-size blocks
-        of the terms' union pattern (:func:`_factor_blocks`)."""
+        of the terms' union pattern (:func:`_factor_blocks`); the step's power
+        is one stacked real ``matrix_power`` per block size of its zeros."""
         sigma = plan.a * self.sigma
         step = np.zeros((plan.dim**2, plan.dim**2))
         for i, factors in _factor_blocks(plan.terms):
@@ -171,7 +170,11 @@ class AveragedTimingJitter(_GateJitter):
                 factor = av_re @ a_re.swapaxes(1, 2) + av_im @ a_im.swapaxes(1, 2)
                 block = factor if block is None else factor @ block
             step[i[:, :, None], i[:, None, :]] = block
-        return _power(step, plan.n)
+        out = np.zeros_like(step)
+        for i in block_stacks(step):
+            square = (i[:, :, None], i[:, None, :])
+            out[square] = np.linalg.matrix_power(step[square], plan.n)
+        return from_hermitian_basis(out)
 
     def costs(self, strengths, t: float, a: float, dim: int) -> tuple[float, float, float]:
         """The bound sees the jitter through the effective width ``a * sigma``."""
@@ -192,8 +195,11 @@ class Depolarizing:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
     def channel(self, plan: TrotterPlan) -> np.ndarray:
-        step = depolarizing_superop(self.p, plan.dim) @ unitary_superop(trotter_step_unitary(plan))
-        return _power(to_hermitian_basis(step), plan.n)
+        """The ``n`` factors gather after the ideal product with strength
+        ``1 - (1 - p)^n``; ``-expm1(n log1p(-p))`` keeps small ``p`` exact,
+        and ``p = 1`` leaves complete noise."""
+        rate = 1.0 if self.p == 1.0 else -math.expm1(plan.n * math.log1p(-self.p))
+        return _depolarized(plan, rate)
 
     def costs(self, strengths, t: float, a: float, dim: int) -> tuple[float, float, float]:
         """The surviving fraction ``1 - p`` discounts the splitting error; each
@@ -218,7 +224,7 @@ class Decoherence:
         return 1.0 - math.exp(-self.gamma * t / a)
 
     def channel(self, plan: TrotterPlan) -> np.ndarray:
-        return depolarizing_superop(self._rate(plan.t, plan.a), plan.dim) @ trotter_ideal(plan)
+        return _depolarized(plan, self._rate(plan.t, plan.a))
 
     def costs(self, strengths, t: float, a: float, dim: int) -> tuple[float, float, float]:
         """The end-of-run factor's depolarizing distance is paid once, as the floor."""
@@ -231,15 +237,15 @@ NoiseModel = TimingJitter | AveragedTimingJitter | Depolarizing | Decoherence
 NOISES = {noise.name: noise for noise in get_args(NoiseModel)}
 
 
-def _power(step: np.ndarray, n: int) -> np.ndarray:
-    """Supermatrix of ``n`` repetitions of a step given as its real matrix in
-    the Hermitian basis; the power runs in real arithmetic, block by block
-    (one stacked ``matrix_power`` per block size)."""
-    out = np.zeros_like(step)
-    for i in block_stacks(step):
-        square = (i[:, :, None], i[:, None, :])
-        out[square] = np.linalg.matrix_power(step[square], n)
-    return from_hermitian_basis(out)
+def _depolarized(plan: TrotterPlan, rate: float) -> np.ndarray:
+    """The ideal ``n``-step product followed by one depolarizing factor of
+    strength ``rate``: ``(1 - rate) T + rate N`` for complete noise ``N``.
+
+    Exact for depolarizing factors anywhere in the circuit, because
+    ``N U = U N = N`` for every unitary channel ``U``: the factors commute to
+    the end, and ``n`` of strength ``p`` compose to strength ``1 - (1 - p)^n``.
+    """
+    return (1.0 - rate) * trotter_ideal(plan) + rate * complete_noise(plan.dim)
 
 
 # The last term set's averaged-jitter blocks, keyed on the terms' shapes and
@@ -285,13 +291,6 @@ def complete_noise(d: int) -> np.ndarray:
         raise ValueError(f"complete_noise needs dimension >= 2, got {d}")
     v = vec(np.eye(d, dtype=complex))
     return np.outer(v, v) / d
-
-
-def depolarizing_superop(p: float, d: int) -> np.ndarray:
-    """Supermatrix of ``rho -> (1 - p) rho + (p/d) I``."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return (1.0 - p) * np.eye(d * d, dtype=complex) + p * complete_noise(d)
 
 
 def ideal_map(plan: TrotterPlan) -> np.ndarray:

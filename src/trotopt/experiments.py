@@ -62,11 +62,12 @@ MONTECARLO_HEADER = ("run_id", "n", "metric", "value")
 # A grid spec is counted before any array is built, so a typo cannot ask for
 # gigabytes.
 MAX_GRID_POINTS = 100_000
-# The n-step averaged channel is the n-th matrix power of one step, and its
-# roundoff grows about linearly in n.  Under avg-jitter (sigma 0.01 and 0.05,
-# t 0.1 and 1) at 1 to 4 qubits its trace-preservation error is at most
-# 4.0e-10 at n = 5e5 (3 qubits) and 5.6e-10 at 6e5 (4 qubits); the metrics
-# reject a channel whose trace is off by more than 1e-9.
+# The averaged channel and the ideal Trotter product are n-th matrix powers,
+# so their trace residual (metrics.TRACE_ATOL = 1e-9, which both metrics
+# check) grows about linearly in n.  At n = MAX_STEPS on Ising chains of 1 to
+# 4 qubits it is at most 4.5e-10 under avg-jitter (sigma 0.01 and 0.05, t 0.1
+# and 1) and 8.5e-10 for the ideal product (t 0.01 to 100); projecting it out
+# moves a 2- or 3-qubit diamond value by 3e-10, far inside the SDP tolerance.
 MAX_STEPS = 500_000
 # montecarlo holds the (runs, n, k) table of jitter draws in full, at 8 bytes
 # a draw: a montecarlo at the limit (100 runs, n = 50,000, k = 2, an 80 MB
@@ -439,7 +440,8 @@ def sweep_rows(config: ExperimentConfig, jobs: int = 1) -> list[tuple]:
 def montecarlo_point(config: ExperimentConfig, index: int) -> list[tuple]:
     """All rows for one grid point: every run, their mean, the averaged map.
 
-    All runs are sampled in one batch and scored under every metric.
+    All runs are sampled in one batch and scored as one stack under every
+    metric.
     """
     n = config.n_grid[index]
     sigma = config.noise.sigma
@@ -451,10 +453,10 @@ def montecarlo_point(config: ExperimentConfig, index: int) -> list[tuple]:
     unitaries = sampled_trotter_unitary(plan, sigma, rngs)
     rows = []
     for metric in config.metrics:
-        values = [metric.unitary_distance(u, ideal_u) for u in unitaries]
+        values = metric.unitary_distance(unitaries, ideal_u)
         # on SDP failure the recorded value is a certified upper bound
         avg_value, _ = _distance(averaged, ideal, metric, config.sdp_tol)
-        rows.extend((str(run), n, metric.name, v) for run, v in enumerate(values))
+        rows.extend((str(run), n, metric.name, float(v)) for run, v in enumerate(values))
         rows.append(("averaged", n, metric.name, avg_value))
         rows.append(("mean", n, metric.name, float(np.mean(values))))
     return rows

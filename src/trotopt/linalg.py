@@ -5,16 +5,17 @@ convention: ``vec(A)[i + d*j] == A[i, j]``, i.e. columns of a matrix are
 stacked on top of each other.  With that convention the supermatrix of the
 unitary channel ``rho -> U rho U^dag`` is ``kron(conj(U), U)``, which is the
 form produced by :func:`unitary_superop`.  The Choi matrix produced by
-:func:`super_to_choi` lives on output (x) input and is normalized to unit
-trace for trace-preserving maps.
+:func:`choi_from_super` lives on output (x) input and has trace ``d`` for
+trace-preserving maps.
 
 A Hermiticity-preserving map is a *real* matrix in any orthonormal basis of
 Hermitian operators (its Pauli transfer matrix when the basis is Pauli
-strings).  :func:`to_hermitian_basis` and :func:`from_hermitian_basis` change
-a supermatrix to and from the basis of matrix units ``E_ii``,
-``(E_ij + E_ji)/sqrt2`` and ``i(E_ij - E_ji)/sqrt2`` (``i > j``), which
-exists for every ``d``; each element of it touches at most two vec
-positions, so the change costs O(d^4) instead of two dense products.
+strings).  :func:`hermitian_basis_rows` re-expresses vec positions in the
+basis of matrix units ``E_ii``, ``(E_ij + E_ji)/sqrt2`` and
+``i(E_ij - E_ji)/sqrt2`` (``i > j``), which exists for every ``d``, and
+:func:`from_hermitian_basis` turns a real matrix in that basis back into a
+supermatrix; each element of the basis touches at most two vec positions, so
+a change of basis costs O(d^4) instead of two dense products.
 
 Everything here is numpy on small matrices (system dimension up to 16,
 superoperators up to 256 x 256), split where the matrix allows it:
@@ -35,11 +36,11 @@ import math
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
-# trace_norm's Hermiticity check.  Every caller passes a state difference or
-# the Choi matrix of a Hermiticity-preserving map.  The worst deviation the
-# package produces is 7e-18 at 4 qubits with n = MAX_STEPS (J-distance Choi
-# difference under averaged jitter, depolarizing and decoherence, t = 0.1
-# and 1) and 3e-17 at 2 qubits; the defect maps' Choi matrices deviate by 0.
+# trace_norm's Hermiticity check.  Every caller passes the Choi matrix of a
+# Hermiticity-preserving map.  The worst deviation the package produces is
+# 1.1e-16 at 2 and 4 qubits with n up to MAX_STEPS (the unnormalized Choi
+# matrix of a channel difference under averaged jitter, depolarizing and
+# decoherence, t = 0.1 and 1); the defect maps' Choi matrices deviate by 0.
 TRACE_NORM_HERMITIAN_ATOL = 1e-8
 
 
@@ -207,20 +208,13 @@ def choi_from_super(t: np.ndarray) -> np.ndarray:
     """Unnormalized Choi matrix ``sum_ij E(|i><j|) (x) |i><j|`` of a supermatrix.
 
     The output lives on output (x) input; a trace-preserving map gives trace
-    ``d``.  Most callers want :func:`super_to_choi`, which divides by ``d``.
+    ``d``, and dividing by ``d`` gives its Choi state.
     """
     return _reshuffle(t)
 
 
-def super_to_choi(t: np.ndarray) -> np.ndarray:
-    """Choi state of a supermatrix, normalized so TP maps give unit trace."""
-    j = _reshuffle(t)
-    d = int(round(np.sqrt(t.shape[0])))
-    return j / d
-
-
 def choi_to_super(j: np.ndarray) -> np.ndarray:
-    """Supermatrix of a normalized Choi state; inverse of :func:`super_to_choi`."""
+    """Supermatrix of a normalized Choi state ``choi_from_super(t) / d``."""
     j = _as_square(j, "choi matrix")
     d = int(round(np.sqrt(j.shape[0])))
     if d * d != j.shape[0]:
@@ -230,9 +224,10 @@ def choi_to_super(j: np.ndarray) -> np.ndarray:
 
 def hermitian_basis_rows(t: np.ndarray, inverse: bool = False) -> np.ndarray:
     """``Q^dag t`` (or ``Q t`` with ``inverse``) for the unitary ``Q`` whose
-    columns are the vec'd Hermitian basis of :func:`to_hermitian_basis`: the
-    rows of a ``(d^2, m)`` array, read as vec positions, re-expressed in that
-    basis (or back).
+    columns are the vec'd Hermitian matrix-unit basis: the rows of a
+    ``(d^2, m)`` array, read as vec positions, re-expressed in that basis (or
+    back).  A Hermiticity-preserving supermatrix ``S`` has the real matrix
+    ``Q^dag S Q`` there, with entries ``tr(B_k S(B_l))``.
 
     Basis element ``p = a + d*b`` takes the place of vec position ``p``:
     ``E_aa`` when ``a == b``, ``(E_ab + E_ba)/sqrt2`` when ``a < b`` and
@@ -257,21 +252,9 @@ def hermitian_basis_rows(t: np.ndarray, inverse: bool = False) -> np.ndarray:
     return z.reshape(t.shape)
 
 
-def to_hermitian_basis(s: np.ndarray) -> np.ndarray:
-    """Real matrix ``Q^dag S Q`` of a Hermiticity-preserving supermatrix in
-    the orthonormal Hermitian matrix-unit basis.
-
-    Its entries ``tr(B_k S(B_l))`` are real for such a map; the imaginary
-    part, roundoff only, is dropped.
-    """
-    s = _as_square(s, "superoperator")
-    left = hermitian_basis_rows(s).conj().T
-    return np.ascontiguousarray(hermitian_basis_rows(left).real.T)
-
-
 def from_hermitian_basis(r: np.ndarray) -> np.ndarray:
-    """Supermatrix ``Q R Q^dag`` of a real matrix in the Hermitian basis;
-    inverse of :func:`to_hermitian_basis`."""
+    """Supermatrix ``Q R Q^dag`` of a real matrix ``R`` in the Hermitian
+    basis of :func:`hermitian_basis_rows`."""
     r = _as_square(r, "basis matrix")
     left = hermitian_basis_rows(r, inverse=True).conj().T
     return hermitian_basis_rows(left, inverse=True).conj().T

@@ -31,14 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .linalg import (
-    choi_from_super,
-    hermitize,
-    partial_trace,
-    super_to_choi,
-    trace_norm,
-    unvec,
-)
+from .linalg import choi_from_super, hermitize, trace_norm, unvec, vec
+
+# The trace residual max |Tr S(|i><j|) - delta_ij| of a channel S (the entries
+# of vec(I)^dag S - vec(I)^dag and of Tr_out of its Choi matrix) that both
+# metrics accept; a difference of two channels may carry twice it.
+TRACE_ATOL = 1e-9
 
 
 class _ChannelMetric:
@@ -158,30 +156,31 @@ def _check_pair(ta: np.ndarray, tb: np.ndarray) -> int:
     return da
 
 
-def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
-    """Unhalved trace distance ``trace_norm(rho_a - rho_b)`` between states."""
-    rho_a = np.asarray(rho_a)
-    rho_b = np.asarray(rho_b)
-    if rho_a.shape != rho_b.shape:
-        raise ValueError(f"state dimensions differ: {rho_a.shape} vs {rho_b.shape}")
-    for name, rho in (("first state", rho_a), ("second state", rho_b)):
-        tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"{name} has trace {tr:.6g}, expected 1")
-    return trace_norm(rho_a - rho_b)
+def _trace_residual(phi: np.ndarray, d: int, kept: float) -> float:
+    """``max |vec(I)^dag phi - kept vec(I)^dag|``, with ``kept`` 1 for a
+    channel and 0 for a difference of channels."""
+    return float(np.max(np.abs(np.asarray(phi)[:: d + 1].sum(axis=0) - kept * vec(np.eye(d)))))
 
 
 def j_distance(ta: np.ndarray, tb: np.ndarray) -> float:
-    """Trace distance between the normalized Choi states of two channels."""
-    _check_pair(ta, tb)
-    return trace_distance(super_to_choi(ta), super_to_choi(tb))
+    """Trace distance between the normalized Choi states of two channels,
+    the J-norm of their difference."""
+    d = _check_pair(ta, tb)
+    for name, t in (("first channel", ta), ("second channel", tb)):
+        residual = _trace_residual(t, d, 1.0)
+        if not residual <= TRACE_ATOL:
+            raise ValueError(
+                f"{name} is not trace-preserving: max |Tr S(|i><j|) - delta_ij| = "
+                f"{residual:.3e} > TRACE_ATOL = {TRACE_ATOL:.0e}"
+            )
+    return j_norm(np.asarray(ta) - np.asarray(tb))
 
 
 def j_norm(phi: np.ndarray) -> float:
     """J-norm of a Hermiticity-preserving supermatrix.
 
-    Equals ``j_distance(TA, TB)`` for ``phi = TA - TB`` but skips the
-    unit-trace validation, so it also applies to difference-like maps.
+    :func:`j_distance` is this norm of a difference of channels; the norm
+    itself checks no trace, so it also applies to the defect maps.
     """
     d = _superop_dim(phi, "map")
     return trace_norm(choi_from_super(phi)) / d
@@ -203,51 +202,59 @@ def noise_benchmarks(d: int) -> tuple[float, float]:
 
 def _check_unitary(u: np.ndarray, name: str) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {u.shape}")
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    dev = float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))))
     if not dev <= 1e-9:
         raise ValueError(f"{name} is not unitary: max |U^dag U - I| = {dev:.3e}")
     return u
 
 
 def _product_eigenvalues(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Eigenvalues of ``U V^dag`` for two unitaries of equal dimension."""
+    """Eigenvalues of ``U V^dag`` for two unitaries of equal dimension, or
+    for each of a ``(runs, d, d)`` stack of them, by one stacked ``eigvals``."""
     u = _check_unitary(u, "first unitary")
     v = _check_unitary(v, "second unitary")
-    if u.shape != v.shape:
+    if u.shape[-1] != v.shape[-1]:
         raise ValueError(f"unitary dimensions differ: {u.shape} vs {v.shape}")
-    return np.linalg.eigvals(u @ v.conj().T)
+    return np.linalg.eigvals(u @ v.conj().swapaxes(-1, -2))
 
 
-def j_distance_unitary(u: np.ndarray, v: np.ndarray) -> float:
-    """J-distance between two unitary channels, in closed form.
+def _per_pair(values: np.ndarray):
+    """A float for one pair of unitaries, the array for a stack."""
+    return values if values.ndim else float(values)
+
+
+def j_distance_unitary(u: np.ndarray, v: np.ndarray):
+    """J-distance between two unitary channels, in closed form; a
+    ``(runs, d, d)`` stack of unitaries gives one distance per run.
 
     Over the eigenphases ``theta`` of ``U V^dag`` it is
     ``(2/d) sqrt(2 sum_{k,l} sin^2((theta_k - theta_l)/2))``, which equals
     ``2 sqrt(1 - |tr(U^dag V)|^2 / d^2)`` without its cancellation.
     """
     theta = np.angle(_product_eigenvalues(u, v))
-    s = np.sin(0.5 * (theta[:, None] - theta[None, :]))
-    return 2.0 / theta.size * math.sqrt(2.0 * float(np.sum(s * s)))
+    s = np.sin(0.5 * (theta[..., :, None] - theta[..., None, :]))
+    squares = (s * s).reshape(s.shape[:-2] + (-1,))
+    return _per_pair(2.0 / theta.shape[-1] * np.sqrt(2.0 * np.sum(squares, axis=-1)))
 
 
-def diamond_distance_unitary(u: np.ndarray, v: np.ndarray) -> float:
-    """Diamond distance between two unitary channels, in closed form.
+def diamond_distance_unitary(u: np.ndarray, v: np.ndarray):
+    """Diamond distance between two unitary channels, in closed form; a
+    ``(runs, d, d)`` stack of unitaries gives one distance per run.
 
     The eigenvalues of ``U V^dag`` lie on the unit circle.  If they fit in an
     arc shorter than pi, the distance is the chord joining the arc's two
     ends; otherwise it is 2.  No SDP is needed.
     """
     evals = _product_eigenvalues(u, v)
-    evals = evals[np.argsort(np.angle(evals))]
+    evals = np.take_along_axis(evals, np.argsort(np.angle(evals), axis=-1), axis=-1)
     angles = np.angle(evals)
     # the largest gap between neighbouring angles, the wrap-around one last
-    gaps = np.diff(angles, append=angles[0] + 2.0 * math.pi)
-    k = int(np.argmax(gaps))
-    if gaps[k] <= math.pi:
-        return 2.0
-    return min(float(abs(evals[k] - evals[(k + 1) % evals.size])), 2.0)
+    gaps = np.diff(angles, axis=-1, append=angles[..., :1] + 2.0 * math.pi)
+    k = np.argmax(gaps, axis=-1)[..., None]
+    chord = np.take_along_axis(np.abs(np.roll(evals, -1, axis=-1) - evals), k, -1)[..., 0]
+    return _per_pair(np.where(gaps.max(axis=-1) <= math.pi, 2.0, np.minimum(chord, 2.0)))
 
 
 # One iteration of the diamond SDP costs O(d^8) time and O(d^6) memory.  On
@@ -267,17 +274,23 @@ def diamond_norm_hp(phi: np.ndarray, tol: float = 1e-7, max_iter: int = sdp.DEFA
     ``min 2 |Tr_out Z|_inf`` over ``Z >= J, Z >= 0`` for the Choi matrix ``J``.
 
     Every channel difference and both defect maps annihilate trace; the
-    single-variable SDP is exact only on such maps, so any other map is
-    rejected.  Raises :class:`DiamondNormError` carrying the best primal/dual
-    bounds if the solver cannot certify a gap below ``tol``.
+    single-variable SDP is exact only on such maps, so a map whose
+    ``Tr_out J`` exceeds ``2 * TRACE_ATOL`` (what a difference of two channels
+    within :data:`TRACE_ATOL` can carry) is rejected.  Raises
+    :class:`DiamondNormError` carrying the best primal/dual bounds if the
+    solver cannot certify a gap below ``tol``.
     """
     d = _superop_dim(phi, "map")
     j_u = choi_from_super(phi)
     if float(np.max(np.abs(j_u - j_u.conj().T))) > 1e-10:
         raise ValueError("map is not Hermiticity-preserving (Choi matrix not Hermitian)")
+    residual = _trace_residual(phi, d, 0.0)
+    if not residual <= 2.0 * TRACE_ATOL:
+        raise ValueError(
+            f"map must annihilate trace (Tr_out of its Choi matrix must vanish): max "
+            f"|Tr_out J| = {residual:.3e} > 2 TRACE_ATOL = {2.0 * TRACE_ATOL:.0e}"
+        )
     j_u = hermitize(j_u)
-    if float(np.max(np.abs(partial_trace(j_u, (d, d), 1)))) > 1e-10:
-        raise ValueError("map must annihilate trace (Tr_out of its Choi matrix must vanish)")
     sol = sdp.solve(j_u, tol=tol, max_iter=max_iter)
     if sol.status != "Optimal":
         raise DiamondNormError(sol.status, sol.primal, sol.dual, sol.iterations)

@@ -3,8 +3,9 @@
 Averaged noise channels are checked against Monte-Carlo oracles (sample means
 of the corresponding unitary-jitter channels), against the complex
 supermatrix products they replaced and against the dense real-basis
-composition that the blockwise path replaced, and the second-order error
-expansion against the exact supermatrix difference.
+composition that the blockwise path replaced; the closed-form depolarizing
+channels against the step-by-step composition of their factors; and the
+second-order error expansion against the exact supermatrix difference.
 """
 
 import numpy as np
@@ -19,7 +20,6 @@ from trotopt.channels import (
     TrotterPlan,
     commutator_defect_map,
     complete_noise,
-    depolarizing_superop,
     evolution_superop,
     faulty_trotter,
     ideal_map,
@@ -86,6 +86,18 @@ def complex_averaged_channel(plan, sigma):
     return np.linalg.matrix_power(step, plan.n)
 
 
+def depolarizing_superop(p, d):
+    """Supermatrix of one depolarizing factor ``rho -> (1 - p) rho + (p/d) I``."""
+    return (1.0 - p) * np.eye(d * d, dtype=complex) + p * complete_noise(d)
+
+
+def real_in_basis(s):
+    """Real matrix ``Q^dag S Q`` of a Hermiticity-preserving supermatrix in the
+    Hermitian basis of ``linalg.hermitian_basis_rows``."""
+    left = linalg.hermitian_basis_rows(s).conj().T
+    return linalg.hermitian_basis_rows(left).real.T
+
+
 def complex_depolarizing_channel(plan, p):
     step = depolarizing_superop(p, plan.dim) @ linalg.unitary_superop(trotter_step_unitary(plan))
     return np.linalg.matrix_power(step, plan.n)
@@ -109,7 +121,7 @@ def dense_real_averaged_channel(plan, sigma):
 
 def dense_real_depolarizing_channel(plan, p):
     step = depolarizing_superop(p, plan.dim) @ linalg.unitary_superop(trotter_step_unitary(plan))
-    real_step = linalg.to_hermitian_basis(step)
+    real_step = real_in_basis(step)
     return linalg.from_hermitian_basis(np.linalg.matrix_power(real_step, plan.n))
 
 
@@ -124,7 +136,7 @@ def dense_basis_change(s):
 
 def j_dist(ta, tb):
     """Trace distance between the Choi states of two supermatrices."""
-    return 0.5 * linalg.trace_norm(linalg.super_to_choi(ta) - linalg.super_to_choi(tb))
+    return 0.5 * linalg.trace_norm(linalg.choi_from_super(ta - tb)) / np.sqrt(ta.shape[0])
 
 
 class TestTrotterPlan:
@@ -212,18 +224,42 @@ class TestCompleteNoise:
 
 class TestDepolarizing:
     def test_endpoints(self):
-        np.testing.assert_array_equal(depolarizing_superop(0.0, 3), np.eye(9))
-        np.testing.assert_allclose(depolarizing_superop(1.0, 3), complete_noise(3), atol=1e-15)
+        # p = 0 is the ideal product itself, p = 1 complete noise at any n
+        for terms in ((SZ, SX), ising_chain(2), ising_chain(3)):
+            for n in (1, 7, 1000):
+                plan = TrotterPlan(terms, t=0.3, n=n)
+                np.testing.assert_array_equal(Depolarizing(0.0).channel(plan), trotter_ideal(plan))
+                np.testing.assert_array_equal(
+                    Depolarizing(1.0).channel(plan), complete_noise(plan.dim)
+                )
 
     def test_half_strength_on_ground_state(self):
-        t = depolarizing_superop(0.5, 2)
+        t = Depolarizing(0.5).channel(TrotterPlan((SZ,), t=0.0, n=1))
         rho = np.diag([1.0, 0.0]).astype(complex)
         out = linalg.unvec(t @ linalg.vec(rho))
         np.testing.assert_allclose(out, np.diag([0.75, 0.25]), atol=1e-12)
+        # two steps depolarize with strength 1 - (1 - p)^2 = 0.75
+        t = Depolarizing(0.5).channel(TrotterPlan((SZ,), t=0.0, n=2))
+        out = linalg.unvec(t @ linalg.vec(rho))
+        np.testing.assert_allclose(out, np.diag([0.625, 0.375]), atol=1e-12)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            depolarizing_superop(-0.01, 2)
+        for p in (-0.01, 1.01):
+            with pytest.raises(ValueError, match="p must lie in"):
+                Depolarizing(p)
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    @pytest.mark.parametrize("qubits", [1, 2, 4])
+    def test_equals_decoherence_of_the_gathered_rate(self, qubits, n):
+        # n factors of strength p are one end-of-run factor of strength
+        # 1 - (1 - p)^n, which decoherence reaches with gamma = -n log(1 - p) a / t
+        terms = (SZ, SX) if qubits == 1 else ising_chain(qubits)
+        plan = TrotterPlan(terms, t=0.3, n=n, a=1.3)
+        p = 0.01
+        gamma = -n * np.log1p(-p) * plan.a / plan.t
+        np.testing.assert_allclose(
+            Depolarizing(p).channel(plan), Decoherence(gamma).channel(plan), rtol=0, atol=1e-15
+        )
 
 
 class TestAveragedJitter:
@@ -441,8 +477,8 @@ class TestFaultyTrotter:
     def test_channels_are_cptp(self, noise):
         plan = ising_plan(t=0.3, n=4)
         t = channel_of(plan, noise, np.random.default_rng(42))
-        j = linalg.super_to_choi(t)
         d = plan.dim
+        j = linalg.choi_from_super(t) / d
         np.testing.assert_allclose(j, j.conj().T, atol=1e-9)
         assert np.linalg.eigvalsh(j).min() >= -1e-9
         np.testing.assert_allclose(
@@ -507,7 +543,7 @@ class TestHermitianBasisChannels:
         for name, s in maps.items():
             r = dense_basis_change(s)
             assert np.abs(r.imag).max() <= 1e-13, name
-            np.testing.assert_allclose(linalg.to_hermitian_basis(s), r.real, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(real_in_basis(s), r.real, rtol=0, atol=1e-13)
 
 
 class TestBlockwiseChannels:
@@ -556,7 +592,7 @@ class TestBlockwiseChannels:
         plan = TrotterPlan(ising_chain(4), t=0.1, n=1)
         stacks = [i for i, _ in channels._factor_blocks(plan.terms)]
         assert sorted(i.shape[1] for i in stacks for _ in i) == [64, 64, 128]
-        step = linalg.to_hermitian_basis(AveragedTimingJitter(0.01).channel(plan))
+        step = real_in_basis(AveragedTimingJitter(0.01).channel(plan))
         assert sorted(p.size for p in linalg.blocks(step)) == [64, 64, 128]
 
     def test_rotated_chain_is_one_block_with_the_same_j_grid(self):
@@ -565,7 +601,7 @@ class TestBlockwiseChannels:
         ising = tuple(ising_chain(4))
         rotated = tuple(terms_from_text(ROTATED_ISING4))
         plan = TrotterPlan(rotated, t=0.1, n=1)
-        step = linalg.to_hermitian_basis(AveragedTimingJitter(0.01).channel(plan))
+        step = real_in_basis(AveragedTimingJitter(0.01).channel(plan))
         assert [p.size for p in linalg.blocks(step)] == [256]
         for n in default_n_grid(1, 1000, 24):
             values = []

@@ -42,10 +42,12 @@ from trotopt.experiments import (
 )
 from trotopt.hamiltonians import HamiltonianFormatError, ising_chain
 from trotopt.metrics import (
+    TRACE_ATOL,
     Diamond,
     InducedTraceHeuristic,
     JDistance,
     diamond_distance,
+    diamond_norm_hp,
     j_distance,
 )
 from trotopt import cli
@@ -198,7 +200,21 @@ class TestSettingParsers:
         plan = TrotterPlan(terms, t=0.1, n=MAX_STEPS, a=1.0)
         one = np.eye(d).reshape(-1)
         channel = faulty_trotter(plan, AveragedTimingJitter(0.01))
-        assert np.max(np.abs(one @ channel - one)) <= 1e-9
+        assert np.max(np.abs(one @ channel - one)) <= TRACE_ATOL
+
+    def test_max_steps_diamond_ignores_the_trace_residual(self):
+        # the difference carries the averaged channel's roundoff (2.2e-10);
+        # with it projected out the SDP reads the same value within sdp_tol,
+        # and ten times it is refused
+        terms = ising_chain(2)
+        plan = TrotterPlan(terms, t=1.0, n=MAX_STEPS, a=1.0)
+        phi = faulty_trotter(plan, AveragedTimingJitter(0.05)) - ideal_map(plan)
+        one = np.eye(4).reshape(-1)
+        leak = np.outer(one, one @ phi) / 4
+        assert 1e-10 < np.max(np.abs(one @ phi)) <= 2.0 * TRACE_ATOL
+        assert diamond_norm_hp(phi) == pytest.approx(diamond_norm_hp(phi - leak), abs=1e-7)
+        with pytest.raises(ValueError, match="annihilate trace"):
+            diamond_norm_hp(phi + 9.0 * leak)
 
 
 class TestBuildConfig:
@@ -540,19 +556,25 @@ class TestMonteCarlo:
         # per-run values come from the closed forms, so the J-distance and
         # the see-saw run once per grid point, on the averaged channel; the
         # heuristic rows of the runs and their mean equal the diamond rows
-        calls = {"j": 0, "heuristic": 0}
-        real_j, real_h = metrics.j_distance, metrics.induced_trace_distance_heuristic
+        calls = dict.fromkeys(
+            [
+                "j_distance",
+                "induced_trace_distance_heuristic",
+                "j_distance_unitary",
+                "diamond_distance_unitary",
+            ],
+            0,
+        )
 
-        def counted_j(*args):
-            calls["j"] += 1
-            return real_j(*args)
+        def counted(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
 
-        def counted_h(*args):
-            calls["heuristic"] += 1
-            return real_h(*args)
+            return call
 
-        monkeypatch.setattr(metrics, "j_distance", counted_j)
-        monkeypatch.setattr(metrics, "induced_trace_distance_heuristic", counted_h)
+        for name in calls:
+            monkeypatch.setattr(metrics, name, counted(name, getattr(metrics, name)))
         config = small_config(
             noise=TimingJitter(0.03),
             metrics=(JDistance(), Diamond(), InducedTraceHeuristic()),
@@ -560,7 +582,13 @@ class TestMonteCarlo:
             n_grid=(2, 9),
         )
         rows = montecarlo_rows(config)
-        assert calls == {"j": 2, "heuristic": 2}
+        # all runs of a grid point are scored in one call per metric
+        assert calls == {
+            "j_distance": 2,
+            "induced_trace_distance_heuristic": 2,
+            "j_distance_unitary": 2,
+            "diamond_distance_unitary": 4,
+        }
         value = {(r[0], r[1], r[2]): r[3] for r in rows}
         for run in [*map(str, range(5)), "mean"]:
             for n in (2, 9):
@@ -861,6 +889,21 @@ class TestCli:
         assert "Traceback" not in out.stderr
         assert f"above MAX_STEPS = {MAX_STEPS}" in out.stderr
         assert out.stdout == ""
+
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_diamond_sweep_at_max_steps_exits_zero(self, n_sites, tmp_path):
+        # the averaged channel's trace roundoff at MAX_STEPS is within what
+        # the diamond metric accepts
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            f"hamiltonian = ising:{n_sites}\nt = 1\nnoise = avg-jitter:0.05\n"
+            f"metrics = diamond\nn_grid = {MAX_STEPS}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        row = out.read_text(encoding="utf-8").splitlines()[-1].split(",")
+        assert row[0] == str(MAX_STEPS) and row[1] == "diamond" and row[-1] == "ok"
 
     def test_montecarlo_draw_limit_exit_two(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):

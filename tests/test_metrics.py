@@ -17,15 +17,15 @@ from trotopt.channels import (
     TrotterPlan,
     commutator_defect_map,
     complete_noise,
-    depolarizing_superop,
     faulty_trotter,
     ideal_map,
     jitter_defect_map,
 )
 from trotopt.hamiltonians import ising_chain
-from trotopt.linalg import hermitize, trace_norm, unitary_superop, unvec, vec
+from trotopt.linalg import choi_from_super, hermitize, trace_norm, unitary_superop, unvec, vec
 from trotopt.metrics import (
     METRICS,
+    TRACE_ATOL,
     Diamond,
     DiamondNormError,
     InducedTraceHeuristic,
@@ -39,10 +39,14 @@ from trotopt.metrics import (
     j_distance_unitary,
     j_norm,
     noise_benchmarks,
-    trace_distance,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def depolarizing_superop(p, d):
+    """Supermatrix of ``rho -> (1 - p) rho + (p/d) I``."""
+    return (1.0 - p) * np.eye(d * d, dtype=complex) + p * complete_noise(d)
 
 
 def random_unitary(rng, d):
@@ -65,19 +69,22 @@ def random_state(rng, d):
 
 
 class TestTraceDistance:
+    """The unhalved trace distance of two states, ``trace_norm`` of their
+    difference, which the J-distance takes between Choi states."""
+
     def test_orthogonal_pure_states(self):
         zero = np.diag([1.0, 0.0]).astype(complex)
         one = np.diag([0.0, 1.0]).astype(complex)
-        assert trace_distance(zero, one) == pytest.approx(2.0, abs=1e-12)
+        assert trace_norm(zero - one) == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_versus_plus(self):
         zero = np.diag([1.0, 0.0]).astype(complex)
         plus = np.full((2, 2), 0.5, dtype=complex)
-        assert trace_distance(zero, plus) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert trace_norm(zero - plus) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_identical_states(self):
         rho = random_state(np.random.default_rng(3), 4)
-        assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-14)
+        assert trace_norm(rho - rho) == pytest.approx(0.0, abs=1e-14)
 
     def test_pure_state_overlap_formula(self):
         rng = np.random.default_rng(4)
@@ -87,16 +94,17 @@ class TestTraceDistance:
             a /= np.linalg.norm(a)
             b /= np.linalg.norm(b)
             want = 2.0 * np.sqrt(1.0 - abs(np.vdot(a, b)) ** 2)
-            got = trace_distance(np.outer(a, a.conj()), np.outer(b, b.conj()))
+            got = trace_norm(np.outer(a, a.conj()) - np.outer(b, b.conj()))
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="trace"):
-            trace_distance(2.0 * np.eye(2), np.eye(2) / 2.0)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="dimensions"):
-            trace_distance(np.eye(2) / 2.0, np.eye(3) / 3.0)
+        # a map that doubles every trace has no Choi state; either argument
+        # is checked
+        double = 2.0 * np.eye(4, dtype=complex)
+        with pytest.raises(ValueError, match="first channel is not trace-preserving"):
+            j_distance(double, np.eye(4, dtype=complex))
+        with pytest.raises(ValueError, match="second channel is not trace-preserving"):
+            j_distance(np.eye(4, dtype=complex), double)
 
 
 def brute_force_circle(points):
@@ -265,6 +273,29 @@ class TestJDistance:
         tb = random_channel(rng, 2)
         assert j_norm(ta - tb) == pytest.approx(j_distance(ta, tb), abs=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_equals_difference_of_choi_states(self, d):
+        # oracle: the trace norm of the difference of the two normalized Choi
+        # states; for a power-of-two d the division by d is exact, so the one
+        # Choi difference gives the same bits
+        rng = np.random.default_rng(40 + d)
+        for _ in range(3):
+            ta, tb = random_channel(rng, d), random_channel(rng, d)
+            want = trace_norm(choi_from_super(ta) / d - choi_from_super(tb) / d)
+            assert j_distance(ta, tb) == want
+
+    def test_trace_check_takes_every_entry(self):
+        # a channel plus a traceless leak into Tr S(|0><1|) keeps its Choi
+        # trace at 1, and is still refused once the leak exceeds TRACE_ATOL
+        one = vec(np.eye(2))
+        for leak, refused in ((0.5 * TRACE_ATOL, False), (2.0 * TRACE_ATOL, True)):
+            t = np.eye(4) + leak / 2 * np.outer(one, vec(np.array([[0.0, 1.0], [0.0, 0.0]])))
+            if refused:
+                with pytest.raises(ValueError, match="TRACE_ATOL"):
+                    j_distance(t, np.eye(4, dtype=complex))
+            else:
+                assert j_distance(t, np.eye(4, dtype=complex)) >= 0.0
+
     def test_rejects_mismatched_dimensions(self):
         with pytest.raises(ValueError, match="differ"):
             j_distance(np.eye(4, dtype=complex), np.eye(9, dtype=complex))
@@ -279,6 +310,28 @@ def nearby_unitary(rng, u, scale):
 
 
 class TestUnitaryClosedForms:
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    def test_stack_equals_per_pair_calls(self, d):
+        # a (runs, d, d) stack gives, run by run, the same bits as one call
+        # per pair, under every metric's closed form
+        rng = np.random.default_rng(300 + d)
+        v = random_unitary(rng, d)
+        scales = (0.0, 1e-6, 0.01, 0.5, 3.0) * 4
+        runs = np.array([nearby_unitary(rng, v, scale) for scale in scales])
+        for metric in METRICS.values():
+            stacked = metric().unitary_distance(runs, v)
+            assert stacked.shape == (len(runs),)
+            looped = [metric().unitary_distance(u, v) for u in runs]
+            assert all(isinstance(x, float) for x in looped)
+            np.testing.assert_array_equal(stacked, looped)
+
+    def test_stack_checks_every_run(self):
+        rng = np.random.default_rng(310)
+        runs = np.array([random_unitary(rng, 2) for _ in range(4)])
+        runs[2] *= 1.01
+        with pytest.raises(ValueError, match="not unitary"):
+            j_distance_unitary(runs, np.eye(2, dtype=complex))
+
     @pytest.mark.parametrize("d", range(1, 17))
     def test_j_matches_superoperator_j(self, d):
         rng = np.random.default_rng(100 + d)

@@ -26,8 +26,6 @@ from trotopt.linalg import (
     from_hermitian_basis,
     hermitian_basis_rows,
     partial_trace,
-    super_to_choi,
-    to_hermitian_basis,
     trace_norm,
     unitary_superop,
 )
@@ -206,9 +204,10 @@ def test_real_basis_powers_channels_at_d8(seed, n):
     q_dag = hermitian_basis_rows(np.eye(64))
     dense = q_dag @ (ta - tb) @ q_dag.conj().T
     assert np.abs(dense.imag).max() <= 1e-13
-    np.testing.assert_allclose(to_hermitian_basis(ta - tb), dense.real, rtol=0, atol=1e-13)
+    real_a = q_dag @ ta @ q_dag.conj().T
+    assert np.abs(real_a.imag).max() <= 1e-13
     np.testing.assert_allclose(
-        from_hermitian_basis(np.linalg.matrix_power(to_hermitian_basis(ta), n)),
+        from_hermitian_basis(np.linalg.matrix_power(real_a.real, n)),
         np.linalg.matrix_power(ta, n),
         rtol=0,
         atol=1e-12,
@@ -240,8 +239,8 @@ def test_text_hamiltonians_give_cptp_channels(noise, text, t, n, a, seed):
         channel = unitary_superop(sampled_trotter_unitary(plan, noise.sigma, (rng,))[0])
     else:
         channel = faulty_trotter(plan, noise)
-    choi = super_to_choi(channel)
     d = plan.dim
+    choi = choi_from_super(channel) / d
     np.testing.assert_allclose(choi, choi.conj().T, atol=1e-9)
     assert np.linalg.eigvalsh(choi).min() >= -1e-9
     np.testing.assert_allclose(partial_trace(choi, (d, d), 1), np.eye(d) / d, atol=1e-9)
