@@ -15,7 +15,6 @@ import hashlib
 import io
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -73,6 +72,13 @@ MAX_STEPS = 500_000
 # a draw: a montecarlo at the limit (100 runs, n = 50,000, k = 2, an 80 MB
 # table) peaks at 116 MB resident.
 MAX_MONTECARLO_DRAWS = 10_000_000
+# A grid chunk's diamond SDPs are solved as one stack, whose Woodbury factors
+# hold d^6 complex entries per problem; a chunk keeps them within
+# CHUNK_ENTRIES (1 MiB): 16 points at d = 4, one from d = 8 on.  At d = 4 the
+# stack saves the per-call cost of numpy on small arrays, most of a solve
+# there; at d = 8 one solve is bound by arithmetic (0.7 s, 59 MB), so stacking
+# gains nothing.
+CHUNK_ENTRIES = 2**16
 
 
 class ConfigError(ValueError):
@@ -358,16 +364,22 @@ def seeded_rng(master_seed: int, *key: int) -> np.random.Generator:
 # -- distances and bounds ------------------------------------------------
 
 
-def _distance(faulty, ideal, metric: Metric, sdp_tol: float) -> tuple[float, str]:
-    """(value, status); an SDP failure is reported in the status, and the
-    value is then a certified upper bound: the least of 2, ``d`` times the
-    J-distance (J <= diamond <= d J) and the best primal value, if any."""
+def _distances(faulty, ideal, metric: Metric, sdp_tol: float) -> list[tuple[float, str]]:
+    """(value, status) of each pair of two ``(B, d^2, d^2)`` stacks of
+    channels, from one call of the metric.  An SDP failure is reported in the
+    status of its map, whose value is then a certified upper bound: the least
+    of 2, ``d`` times the J-distance (J <= diamond <= d J) and the best primal
+    value, if any; the other maps of the stack keep their values."""
     try:
-        return metric.distance(faulty, ideal, sdp_tol), "ok"
+        return [(float(value), "ok") for value in metric.distance(faulty, ideal, sdp_tol)]
     except DiamondNormError as exc:
-        d = round(np.sqrt(faulty.shape[0]))
-        bound = min(2.0, d * j_distance(faulty, ideal))
-        return float(np.fmin(bound, exc.primal)), exc.status
+        d = round(np.sqrt(faulty.shape[-1]))
+        return [
+            (float(value), "ok")
+            if status == "Optimal"
+            else (float(np.fmin(min(2.0, d * j_distance(faulty[k], ideal[k])), primal)), status)
+            for k, (status, primal, value) in enumerate(zip(exc.status, exc.primal, exc.values))
+        ]
 
 
 def _tradeoff(config: ExperimentConfig, strengths) -> TradeoffConstants:
@@ -380,41 +392,53 @@ def tradeoff_coefficients(config: ExperimentConfig, metric: Metric) -> tuple[flo
     return c.step_cost, c.noise_cost
 
 
-def _map_grid(point, config: ExperimentConfig, jobs: int, *args) -> list[tuple]:
-    """Rows of ``point(config, *args, index)`` over every grid index, on up
-    to ``jobs`` worker processes, never more than there are grid points or
-    CPUs; rows come back in grid order either way."""
-    task = partial(point, config, *args)
-    indices = range(len(config.n_grid))
-    workers = min(jobs, len(indices), os.cpu_count() or 1)
+def _map_grid(chunk_rows, config: ExperimentConfig, jobs: int, *args) -> list[tuple]:
+    """Rows of ``chunk_rows(config, *args, indices)`` over contiguous chunks
+    of grid indices, on up to ``jobs`` worker processes, never more than
+    there are chunks or CPUs; rows come back in grid order either way.
+
+    A chunk holds at most ``CHUNK_ENTRIES // d**6`` points (at least one),
+    and fewer when that leaves a worker idle.
+    """
+    points = len(config.n_grid)
+    workers = min(jobs, points, os.cpu_count() or 1)
+    size = max(1, min(CHUNK_ENTRIES // config.dim**6, -(-points // workers)))
+    chunks = [range(lo, min(lo + size, points)) for lo in range(0, points, size)]
+    workers = min(workers, len(chunks))
+    task = partial(chunk_rows, config, *args)
     if workers > 1:
+        # imported here: the pool loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(task, indices))
+            results = list(pool.map(task, chunks))
     else:
-        chunks = map(task, indices)
-    return [row for chunk in chunks for row in chunk]
+        results = map(task, chunks)
+    return [row for rows in results for row in rows]
 
 
 # -- sweep ---------------------------------------------------------------
 
 
-def sweep_point(config: ExperimentConfig, bounds: dict, index: int) -> list[tuple]:
-    """All CSV rows for one grid point; ``bounds`` maps metric name to the
-    precomputed bound constants."""
-    n = config.n_grid[index]
-    plan = TrotterPlan(config.terms, t=config.t, n=n, a=config.a)
-    faulty = faulty_trotter(plan, config.noise)
-    ideal = ideal_map(plan)
+def sweep_chunk(config: ExperimentConfig, bounds: dict, indices: range) -> list[tuple]:
+    """All CSV rows for a chunk of grid indices: the chunk's channels are
+    built first, then each metric scores them in one call; ``bounds`` maps
+    metric name to the precomputed bound constants."""
+    steps = [config.n_grid[index] for index in indices]
+    plans = [TrotterPlan(config.terms, t=config.t, n=n, a=config.a) for n in steps]
+    faulty = np.array([faulty_trotter(plan, config.noise) for plan in plans])
+    ideal = np.array([ideal_map(plan) for plan in plans])
     rows = []
     for metric in config.metrics:
-        value, status = _distance(faulty, ideal, metric, config.sdp_tol)
-        bound = bound_curve(n, bounds[metric.name])
-        rows.append((n, metric.name, value, bound, metric.benchmark(config.dim), status))
+        scored = _distances(faulty, ideal, metric, config.sdp_tol)
+        for n, (value, status) in zip(steps, scored):
+            bound = bound_curve(n, bounds[metric.name])
+            rows.append((n, metric.name, value, bound, metric.benchmark(config.dim), status))
     return rows
 
 
 def _sweep(config: ExperimentConfig, bounds: dict, jobs: int) -> list[tuple]:
-    rows = _map_grid(sweep_point, config, jobs, bounds)
+    rows = _map_grid(sweep_chunk, config, jobs, bounds)
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows
 
@@ -437,28 +461,35 @@ def sweep_rows(config: ExperimentConfig, jobs: int = 1) -> list[tuple]:
 # -- Monte-Carlo runs ----------------------------------------------------
 
 
-def montecarlo_point(config: ExperimentConfig, index: int) -> list[tuple]:
-    """All rows for one grid point: every run, their mean, the averaged map.
+def montecarlo_chunk(config: ExperimentConfig, indices: range) -> list[tuple]:
+    """All rows for a chunk of grid indices: at each point every run and
+    their mean, and the averaged map.
 
-    All runs are sampled in one batch and scored as one stack under every
-    metric.
+    Point by point, all runs are sampled in one batch (the draw table can
+    reach 80 MB, so one point's is held at a time) and scored as one stack
+    under every metric; the chunk's averaged maps are scored together at the
+    end, in one call per metric.
     """
-    n = config.n_grid[index]
     sigma = config.noise.sigma
-    plan = TrotterPlan(config.terms, t=config.t, n=n, a=config.a)
     ideal_u = hermitian_exp(sum(config.terms[1:], start=config.terms[0].copy()), config.t)
-    ideal = unitary_superop(ideal_u)
-    averaged = faulty_trotter(plan, AveragedTimingJitter(sigma))
-    rngs = [seeded_rng(config.master_seed, run, n) for run in range(config.runs)]
-    unitaries = sampled_trotter_unitary(plan, sigma, rngs)
+    steps = [config.n_grid[index] for index in indices]
+    averaged = []
     rows = []
+    for n in steps:
+        plan = TrotterPlan(config.terms, t=config.t, n=n, a=config.a)
+        averaged.append(faulty_trotter(plan, AveragedTimingJitter(sigma)))
+        rngs = [seeded_rng(config.master_seed, run, n) for run in range(config.runs)]
+        unitaries = sampled_trotter_unitary(plan, sigma, rngs)
+        for metric in config.metrics:
+            values = metric.unitary_distance(unitaries, ideal_u)
+            rows.extend((str(run), n, metric.name, float(v)) for run, v in enumerate(values))
+            rows.append(("mean", n, metric.name, float(np.mean(values))))
+    averaged = np.array(averaged)
+    ideal = np.broadcast_to(unitary_superop(ideal_u), averaged.shape)
     for metric in config.metrics:
-        values = metric.unitary_distance(unitaries, ideal_u)
         # on SDP failure the recorded value is a certified upper bound
-        avg_value, _ = _distance(averaged, ideal, metric, config.sdp_tol)
-        rows.extend((str(run), n, metric.name, float(v)) for run, v in enumerate(values))
-        rows.append(("averaged", n, metric.name, avg_value))
-        rows.append(("mean", n, metric.name, float(np.mean(values))))
+        scored = _distances(averaged, ideal, metric, config.sdp_tol)
+        rows.extend(("averaged", n, metric.name, value) for n, (value, _) in zip(steps, scored))
     return rows
 
 
@@ -478,7 +509,7 @@ def montecarlo_rows(config: ExperimentConfig, jobs: int = 1) -> list[tuple]:
             f"montecarlo would draw runs * n * k = {draws} jitter values at n = "
             f"{config.n_grid[-1]}, above MAX_MONTECARLO_DRAWS = {MAX_MONTECARLO_DRAWS}"
         )
-    rows = _map_grid(montecarlo_point, config, jobs)
+    rows = _map_grid(montecarlo_chunk, config, jobs)
 
     def run_key(run_id: str):
         return (0, int(run_id), "") if run_id.isdigit() else (1, 0, run_id)

@@ -44,19 +44,25 @@ HERMITIAN_ATOL = 1e-12
 TRACE_NORM_HERMITIAN_ATOL = 1e-8
 
 
-def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _as_square(m: np.ndarray, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """``m`` as an ndarray, raising ``ValueError`` unless it is a square
+    matrix, or with ``stacked`` a stack of them along the leading axes."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if not (m.ndim == 2 or (stacked and m.ndim > 2)) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m
+
+
+def _check_hermitian(m: np.ndarray, m_adj: np.ndarray, name: str, atol: float):
+    dev = float(np.max(np.abs(m - m_adj))) if m.size else 0.0
+    if not dev <= atol:
+        raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} > {atol:.1e}")
 
 
 def require_hermitian(m: np.ndarray, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Return ``m`` as an ndarray, raising ``ValueError`` if it is not Hermitian."""
     m = _as_square(m, name)
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if not dev <= atol:
-        raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} > {atol:.1e}")
+    _check_hermitian(m, m.conj().T, name, atol)
     return m
 
 
@@ -141,7 +147,11 @@ def trace_norm(m: np.ndarray) -> float:
     Raises ``ValueError`` for a matrix farther than
     ``TRACE_NORM_HERMITIAN_ATOL`` from Hermitian in max-abs entry.
     """
-    m = hermitize(require_hermitian(m, "trace_norm argument", TRACE_NORM_HERMITIAN_ATOL))
+    m = _as_square(m, "trace_norm argument")
+    # one adjoint serves the check and the Hermitian part
+    m_adj = m.conj().T
+    _check_hermitian(m, m_adj, "trace_norm argument", TRACE_NORM_HERMITIAN_ATOL)
+    m = 0.5 * (m + m_adj)
     evals = [np.linalg.eigvalsh(m[i[:, :, None], i[:, None, :]]).ravel() for i in block_stacks(m)]
     return float(np.sum(np.abs(np.concatenate(evals))))
 
@@ -176,36 +186,43 @@ def unitary_superop(u: np.ndarray) -> np.ndarray:
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
     """Partial trace of a matrix on a bipartite space.
 
-    :param m: square matrix of size ``dims[0] * dims[1]``.
+    :param m: square matrix of size ``dims[0] * dims[1]``, or a stack of
+        them along the leading axes, traced matrix by matrix.
     :param dims: dimensions ``(dA, dB)`` of the two tensor factors, with the
         first factor on the left of the Kronecker product.
     :param keep: ``0`` to trace out the second factor (keeping A), ``1`` to
         trace out the first (keeping B).
-    :return: reduced matrix of size ``dims[keep]``.
+    :return: reduced matrix (or stack) of size ``dims[keep]``.
     """
     da, db = int(dims[0]), int(dims[1])
-    m = _as_square(m, "partial_trace argument")
-    if m.shape[0] != da * db:
-        raise ValueError(f"matrix of size {m.shape[0]} does not factor as {da} x {db}")
+    m = _as_square(m, "partial_trace argument", stacked=True)
+    if m.shape[-1] != da * db:
+        raise ValueError(f"matrix of size {m.shape[-1]} does not factor as {da} x {db}")
     if keep not in (0, 1):
         raise ValueError(f"keep must be 0 or 1, got {keep!r}")
-    t = m.reshape(da, db, da, db)
+    t = m.reshape(m.shape[:-2] + (da, db, da, db))
     if keep == 0:
-        return np.einsum("ijkj->ik", t)
-    return np.einsum("ijil->jl", t)
+        return np.einsum("...ijkj->...ik", t)
+    return np.einsum("...ijil->...jl", t)
 
 
 def _reshuffle(t: np.ndarray) -> np.ndarray:
-    """Involution-like index shuffle between supermatrix and (unnormalized) Choi."""
-    t = _as_square(t, "superoperator")
-    d = int(round(np.sqrt(t.shape[0])))
-    if d * d != t.shape[0]:
-        raise ValueError(f"superoperator of size {t.shape[0]} is not d^2 x d^2")
-    return t.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    """Involution-like index shuffle between supermatrix and (unnormalized)
+    Choi, matrix by matrix on a stack along the leading axes."""
+    t = _as_square(t, "superoperator", stacked=True)
+    d = int(round(np.sqrt(t.shape[-1])))
+    if d * d != t.shape[-1]:
+        raise ValueError(f"superoperator of size {t.shape[-1]} is not d^2 x d^2")
+    lead = t.ndim - 2
+    shuffled = t.reshape(t.shape[:-2] + (d, d, d, d)).transpose(
+        *range(lead), lead + 1, lead + 3, lead, lead + 2
+    )
+    return shuffled.reshape(t.shape)
 
 
 def choi_from_super(t: np.ndarray) -> np.ndarray:
-    """Unnormalized Choi matrix ``sum_ij E(|i><j|) (x) |i><j|`` of a supermatrix.
+    """Unnormalized Choi matrix ``sum_ij E(|i><j|) (x) |i><j|`` of a
+    supermatrix, or of each supermatrix of a stack.
 
     The output lives on output (x) input; a trace-preserving map gives trace
     ``d``, and dividing by ``d`` gives its Choi state.

@@ -56,15 +56,15 @@ def defect_strengths(
 
     Returns ``(commutator_strength, jitter_strength)``: the chosen-metric
     norms of the splitting defect and of the single-insertion timing defect.
-    The first vanishes when all terms commute.
+    The first vanishes when all terms commute.  Both maps go to the metric
+    as one stack, so the diamond metric solves them as one stacked SDP.
     """
     terms = list(terms)
     if not terms:
         raise ValueError("at least one Hamiltonian term is required")
-    return (
-        metric.norm(commutator_defect_map(terms), sdp_tol),
-        metric.norm(jitter_defect_map(terms), sdp_tol),
-    )
+    maps = np.stack([commutator_defect_map(terms), jitter_defect_map(terms)])
+    commutator_strength, jitter_strength = metric.norm(maps, sdp_tol)
+    return float(commutator_strength), float(jitter_strength)
 
 
 def optimal_steps(step_cost: float, noise_cost: float) -> float:

@@ -3,12 +3,19 @@
 ``BENCHMARK.json`` names per-layer metrics ``<module>.<function>.calls`` and
 ``<module>.<function>.s``; the traced run wraps ``trotopt.<module>.<function>``
 with ``getattr``, so renaming or deleting one of these functions would break
-every traced benchmark run.
+every traced benchmark run.  It also stores the ``iterations`` of every
+``sdp.solve`` result as one integer, so a stacked solve must report its
+total there.
 """
 
 import importlib
 import json
 from pathlib import Path
+
+import numpy as np
+
+from trotopt import sdp
+from trotopt.linalg import choi_from_super, unitary_superop
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
@@ -26,3 +33,12 @@ def test_every_traced_layer_is_a_package_function():
         module, function = layer.rsplit(".", 1)
         found = getattr(importlib.import_module(f"trotopt.{module}"), function, None)
         assert callable(found), layer
+
+
+def test_stacked_solve_reports_total_iterations():
+    flip = unitary_superop(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    phase = unitary_superop(np.diag([1.0, 1.0j]))
+    maps = np.array([flip - np.eye(4), 0.5 * (phase - flip)])
+    result = sdp.solve(choi_from_super(maps), tol=1e-7)
+    assert type(result.iterations) is int
+    assert result.iterations == sum(sol.iterations for sol in result) > 0

@@ -38,7 +38,8 @@ from trotopt.experiments import (
     parse_noise,
     seeded_rng,
     sweep_rows,
-    _distance,
+    _distances,
+    _map_grid,
 )
 from trotopt.hamiltonians import HamiltonianFormatError, ising_chain
 from trotopt.metrics import (
@@ -326,7 +327,7 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("trotopt.experiments.ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr("trotopt.experiments.os.cpu_count", lambda: 64)
         config = small_config(n_grid=(1, 2, 4))
         assert sweep_rows(config, jobs=10**6) == sweep_rows(config, jobs=1)
@@ -336,17 +337,18 @@ class TestSweep:
 
     def test_failed_solve_reports_certified_bound(self, monkeypatch):
         def fail_at_first_iterate(j, **kw):
-            # a solve that fails before any primal value
-            return sdp.SdpSolution(
+            # a solve that fails before any primal value, on every map of the stack
+            failure = sdp.SdpSolution(
                 primal=np.nan, dual=np.nan, gap=np.inf, iterations=1, status="NumericalFailure"
             )
+            return sdp.SdpStack(failure for _ in j)
 
         plan = TrotterPlan(tuple(ising_chain(2)), t=0.1, n=4)
         faulty = faulty_trotter(plan, AveragedTimingJitter(0.01))
         ideal = ideal_map(plan)
         exact = diamond_distance(faulty, ideal)
         monkeypatch.setattr("trotopt.sdp.solve", fail_at_first_iterate)
-        value, status = _distance(faulty, ideal, Diamond(), 1e-7)
+        [(value, status)] = _distances(faulty[None], ideal[None], Diamond(), 1e-7)
         assert status == "NumericalFailure"
         assert np.isfinite(value)
         assert value == min(2.0, 4 * j_distance(faulty, ideal))
@@ -689,6 +691,19 @@ class TestCli:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_cli_imports_no_process_pool(self):
+        # the pool loads multiprocessing, which only --jobs above 1 needs
+        code = "import sys, trotopt.cli; print('concurrent.futures.process' in sys.modules)"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
     def test_benchmarks_exit_code(self, capsys):
         assert cli.main(["benchmarks", "--dim", "2"]) == 0
         assert "all checks passed" in capsys.readouterr().out
@@ -960,3 +975,87 @@ class TestCli:
         out = capsys.readouterr().out
         assert "max simulation time" in out
         assert "measured optimal steps" in out
+
+
+class TestGridChunks:
+    """Workers take contiguous chunks of the grid, and each metric scores a
+    chunk in one call: the diamond metric as one stacked SDP."""
+
+    @staticmethod
+    def chunks(config, jobs=1):
+        return _map_grid(lambda config, indices: [indices], config, jobs)
+
+    def test_chunk_sizes(self, monkeypatch):
+        grid = tuple(range(1, 21))
+        assert self.chunks(small_config(n_grid=grid)) == [range(0, 16), range(16, 20)]
+        # two workers split the grid evenly rather than leave one idle
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("trotopt.experiments.os.cpu_count", lambda: 2)
+        assert self.chunks(small_config(n_grid=grid), jobs=2) == [range(0, 10), range(10, 20)]
+        qubit = parse_hamiltonian_setting("1 | x | z")[1]
+        assert self.chunks(small_config(terms=qubit, n_grid=grid)) == [range(0, 20)]
+        assert self.chunks(small_config(terms=tuple(ising_chain(3)), n_grid=(1, 2, 3))) == [
+            range(0, 1), range(1, 2), range(2, 3)
+        ]
+
+    def test_one_stacked_solve_per_chunk(self, monkeypatch):
+        sizes = []
+        solve = sdp.solve
+
+        def counted(j, **kw):
+            sizes.append(len(j))
+            return solve(j, **kw)
+
+        monkeypatch.setattr("trotopt.sdp.solve", counted)
+        config = small_config(metrics=(JDistance(), Diamond()), n_grid=tuple(range(1, 21)))
+        sweep_rows(config)
+        # the two defect maps, then the two chunks of the grid
+        assert sizes == [2, 16, 4]
+
+    def test_sweep_rows_independent_of_jobs(self):
+        config = small_config(metrics=(JDistance(), Diamond()), n_grid=tuple(range(1, 21)))
+        assert sweep_rows(config, jobs=2) == sweep_rows(config, jobs=1)
+
+    def test_montecarlo_rows_independent_of_jobs(self):
+        config = small_config(
+            noise=TimingJitter(0.02), metrics=(Diamond(),), runs=2, n_grid=tuple(range(1, 19))
+        )
+        assert montecarlo_rows(config, jobs=2) == montecarlo_rows(config, jobs=1)
+
+    def test_optimum_report_independent_of_jobs(self):
+        config = small_config(metrics=(JDistance(), Diamond()), n_grid=tuple(range(1, 19)))
+        assert optimum_report(config, jobs=2) == optimum_report(config, jobs=1)
+
+    def test_failed_point_leaves_its_chunk_alone(self, monkeypatch):
+        # the first point of each grid chunk fails before any primal value;
+        # it reports the J bound, and every other point its certified value
+        config = small_config(metrics=(Diamond(),), n_grid=(2, 5, 9, 20))
+        want = sweep_rows(config)
+        solve = sdp.solve
+
+        def fail_first(j, **kw):
+            sols = solve(j, **kw)
+            if len(j) == 2:  # the defect maps
+                return sols
+            failure = sdp.SdpSolution(np.nan, np.nan, np.inf, 1, "NumericalFailure")
+            return sdp.SdpStack([failure, *sols[1:]])
+
+        monkeypatch.setattr("trotopt.sdp.solve", fail_first)
+        got = sweep_rows(config)
+        assert got[1:] == want[1:]
+        plan = TrotterPlan(config.terms, t=config.t, n=2, a=config.a)
+        bound = min(2.0, 4 * j_distance(faulty_trotter(plan, config.noise), ideal_map(plan)))
+        assert got[0][2:] == (bound, *want[0][3:5], "NumericalFailure")

@@ -269,6 +269,23 @@ class TestTraceNorm:
             linalg.trace_norm(random_complex(rng, 3))
 
 
+    def test_one_adjoint_for_check_and_hermitian_part(self):
+        # the value is that of the Hermitian part, bit for bit, and the check
+        # names the argument and the deviation
+        rng = np.random.default_rng(25)
+        h, _ = permuted_block_matrix(rng, [3, 1, 4], hermitian=True)
+        h[0, 0] += 1e-12j
+        part = linalg.hermitize(h)
+        evals = [
+            np.linalg.eigvalsh(part[i[:, :, None], i[:, None, :]]).ravel()
+            for i in linalg.block_stacks(part)
+        ]
+        assert linalg.trace_norm(h) == float(np.sum(np.abs(np.concatenate(evals))))
+        message = r"trace_norm argument is not Hermitian: max \|M - M\^dag\| = "
+        with pytest.raises(ValueError, match=message):
+            linalg.trace_norm(h + 1e-6j * np.eye(8))
+
+
 def hermitian_basis_element(d, p):
     """Element ``p = a + d*b`` of the Hermitian matrix-unit basis, by definition."""
     a, b = p % d, p // d
@@ -353,6 +370,13 @@ class TestPartialTrace:
             red = linalg.partial_trace(m, (2, 3), keep)
             assert np.trace(red) == pytest.approx(np.trace(m), abs=1e-12)
 
+    def test_stack_is_traced_matrix_by_matrix(self):
+        rng = np.random.default_rng(34)
+        stack = np.array([random_complex(rng, 6) for _ in range(3)])
+        for keep in (0, 1):
+            got = linalg.partial_trace(stack, (2, 3), keep)
+            assert np.array_equal(got, [linalg.partial_trace(m, (2, 3), keep) for m in stack])
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="factor"):
             linalg.partial_trace(np.eye(5), (2, 3), 0)
@@ -383,6 +407,12 @@ class TestSuperop:
 
 
 class TestChoi:
+    def test_stack_is_reshuffled_matrix_by_matrix(self):
+        rng = np.random.default_rng(35)
+        stack = np.array([random_complex(rng, 9) for _ in range(2)])
+        got = linalg.choi_from_super(stack)
+        assert np.array_equal(got, [linalg.choi_from_super(t) for t in stack])
+
     def test_identity_channel_choi(self):
         d = 2
         omega = np.zeros((4, 4))

@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
+from trotopt import sdp
 from trotopt.channels import (
     AveragedTimingJitter,
     TrotterPlan,
@@ -649,3 +650,58 @@ class TestMetricDispatch:
         for cls in METRICS.values():
             assert cls().norm(scaled) == pytest.approx(6.0, abs=1e-6)
         assert induced_trace_distance_heuristic(scaled, -scaled) == 2.0
+
+
+class TestStackedMetrics:
+    """Each metric's ``norm`` and ``distance`` take a stack of maps: one value
+    per map, equal to the value of the map alone, and a float for one map."""
+
+    @staticmethod
+    def channel_pairs(d):
+        rng = np.random.default_rng(90 + d)
+        ta = np.array([random_channel(rng, d) for _ in range(3)])
+        tb = np.array([random_channel(rng, d) for _ in range(3)])
+        return ta, tb
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_distance_and_norm_per_map(self, d):
+        ta, tb = self.channel_pairs(d)
+        for metric in (JDistance(), Diamond(), InducedTraceHeuristic(restarts=4)):
+            single = [metric.distance(a, b) for a, b in zip(ta, tb)]
+            assert all(type(v) is float for v in single)
+            assert np.array_equal(metric.distance(ta, tb), single)
+            norms = [metric.norm(phi) for phi in ta - tb]
+            assert np.array_equal(metric.norm(ta - tb), norms)
+
+    def test_diamond_functions_take_stacks(self):
+        ta, tb = self.channel_pairs(2)
+        want = [diamond_norm_hp(a - b) for a, b in zip(ta, tb)]
+        assert np.array_equal(diamond_norm_hp(ta - tb), want)
+        # the identity against a bit flip reaches the clip of 2 + tol
+        flip = np.array([np.eye(4, dtype=complex), unitary_superop(SX)])
+        got = diamond_distance(flip, flip[::-1], tol=1e-7)
+        assert got.shape == (2,) and np.all(got <= 2.0 + 1e-7)
+
+    def test_uncertified_map_carries_the_others(self):
+        # at tol 1e-13 and three iterations no map certifies
+        ta, tb = self.channel_pairs(2)
+        maps = ta - tb
+        with pytest.raises(DiamondNormError) as exc:
+            diamond_norm_hp(maps[:2], tol=1e-13, max_iter=3)
+        err = exc.value
+        assert err.status == ("IterationCap", "IterationCap")
+        assert err.iterations == (3, 3)
+        assert np.all(np.isnan(err.values))
+        assert "map 0: status=IterationCap" in str(err) and "map 1:" in str(err)
+        # capped at the iterations the faster of two maps needs, that map
+        # certifies with its value alone and the other stops at the cap
+        pair = np.array([maps[0], 1e-3 * (unitary_superop(SX) - np.eye(4))])
+        needs = [sdp.solve(hermitize(choi_from_super(phi)), 1e-7).iterations for phi in pair]
+        assert needs[1] < needs[0]
+        with pytest.raises(DiamondNormError) as exc:
+            diamond_norm_hp(pair, tol=1e-7, max_iter=needs[1])
+        err = exc.value
+        assert err.status == ("IterationCap", "Optimal")
+        assert np.isnan(err.values[0])
+        assert err.values[1] == diamond_norm_hp(pair[1], tol=1e-7)
+        assert "map 0: status=IterationCap" in str(err) and "map 1" not in str(err)

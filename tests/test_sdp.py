@@ -100,6 +100,16 @@ def random_rhs(rng, d):
     return rhs
 
 
+def newton_step(gs, rhs):
+    """``sdp._newton_step`` on one system, as a stack of one."""
+    return sdp._newton_step(*(g[None] for g in gs), rhs[None])[0]
+
+
+def newton_apply(gs, v):
+    """``sdp._newton_apply`` on one vector, as a stack of one."""
+    return sdp._newton_apply(*(g[None] for g in gs), v[None])[0]
+
+
 def relative_residual(m, x, rhs):
     return np.linalg.norm(m @ x - rhs) / np.linalg.norm(rhs)
 
@@ -117,7 +127,7 @@ class TestParametrization:
         for d in (1, 2, 3):
             gs = random_scalings(rng, d)
             rhs = random_rhs(rng, d)
-            step = sdp._newton_step(*gs, rhs)
+            step = newton_step(gs, rhs)
             assert relative_residual(dense_newton(*gs), step, rhs) <= 1e-12
 
     def test_param_count(self):
@@ -132,7 +142,7 @@ class TestParametrization:
             assert np.max(np.abs(newton - newton.conj().T)) < 1e-12 * np.max(np.abs(newton))
             assert np.linalg.eigvalsh(newton)[0] > 0.0
             rhs = random_rhs(rng, d)
-            step = sdp._newton_step(*gs, rhs)
+            step = newton_step(gs, rhs)
             assert step.shape == rhs.shape
             dz = step[:-1].reshape(d * d, d * d)
             assert np.max(np.abs(dz - dz.conj().T)) <= 1e-12 * np.max(np.abs(dz))
@@ -150,7 +160,7 @@ class TestParametrization:
                 newton = dense_newton(*gs)
                 rhs = random_rhs(rng, d)
                 lu = relative_residual(newton, np.linalg.solve(newton, rhs), rhs)
-                assert relative_residual(newton, sdp._newton_step(*gs, rhs), rhs) <= 100.0 * lu
+                assert relative_residual(newton, newton_step(gs, rhs), rhs) <= 100.0 * lu
 
 
 def lambda_max_solution(a, tol=1e-9):
@@ -225,9 +235,9 @@ class TestLinearPlacement:
             newton = dense_newton(*gs)
             x = random_rhs(rng, d)
             want = newton @ x
-            placed = sdp._newton_apply(*gs, x)
+            placed = newton_apply(gs, x)
             assert np.linalg.norm(placed - want) <= 1e-12 * np.linalg.norm(want)
-            back = sdp._newton_step(*gs, want)
+            back = newton_step(gs, want)
             assert relative_residual(newton, back, want) <= 1e-12
             assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
 
@@ -260,8 +270,9 @@ class TestValidation:
             sdp.solve(np.zeros((0, 0)), tol=1e-7)
 
     def test_no_blocks(self):
-        # an array that is not a matrix defines none of the three blocks
-        for shape in ((), (4,), (1, 4, 4)):
+        # an array that is neither a matrix nor a stack of them defines none
+        # of the three blocks
+        for shape in ((), (4,), (1, 1, 4, 4)):
             with pytest.raises(ValueError, match="d\\^2 x d\\^2"):
                 sdp.solve(np.zeros(shape), tol=1e-7)
 
@@ -362,3 +373,96 @@ class TestDiamondThroughSolver:
         assert np.all(primals >= duals)
         assert duals.max() <= primals.min() + 1e-9
 
+
+def trace_annihilating_choi(rng, d):
+    """Hermitian Choi matrix of a random Hermiticity-preserving map that
+    annihilates trace: a random Hermitian ``J`` less ``I (x) Tr_out J / d``."""
+    j = random_hermitian(rng, d * d)
+    red = np.einsum("ijil->jl", j.reshape(d, d, d, d))
+    return j - np.kron(np.eye(d), red / d)
+
+
+def stack_set(d):
+    """Hermitian Choi matrices at dimension ``d``: random trace-annihilating
+    maps, random channel differences, both defect maps of a Hamiltonian and
+    Trotter channel differences under averaged jitter."""
+    rng = np.random.default_rng(500 + d)
+    if d == 2:
+        config = build_config({"hamiltonian": "1 | x | z ; 0.5 y", "noise": "avg-jitter:0.02"})
+    else:
+        config = build_config({"hamiltonian": "ising:2", "noise": "avg-jitter:0.01"})
+    terms = list(config.terms)
+    maps = [commutator_defect_map(terms), jitter_defect_map(terms)]
+    for n in (1, 3, 40):
+        plan = TrotterPlan(config.terms, t=0.1, n=n, a=1.0)
+        maps.append(faulty_trotter(plan, config.noise) - ideal_map(plan))
+    maps += [random_channel(rng, d) - random_channel(rng, d) for _ in range(3)]
+    chois = [choi_from_super(phi) for phi in maps]
+    chois = [0.5 * (j + j.conj().T) for j in chois]
+    return chois + [trace_annihilating_choi(rng, d) for _ in range(3)]
+
+
+def same_solution(a, b):
+    """Bit for bit: status, iterations, bounds, gap, dual residual and trace."""
+    assert (a.status, a.iterations) == (b.status, b.iterations)
+    for field in ("primal", "dual", "gap", "dual_residual"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x == y or (np.isnan(x) and np.isnan(y)), field
+    assert a.trace == b.trace
+
+
+class TestStack:
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_each_problem_as_if_alone(self, d):
+        # a problem's result does not depend on which problems share its
+        # stack: the whole set, its reverse and every problem alone agree
+        chois = stack_set(d)
+        alone = [sdp.solve(j[None], 1e-7)[0] for j in chois]
+        assert [sol.status for sol in alone] == ["Optimal"] * len(chois)
+        stacked = sdp.solve(np.array(chois), 1e-7)
+        reverse = sdp.solve(np.array(chois[::-1]), 1e-7)[::-1]
+        assert len(stacked) == len(chois)
+        for a, b, c in zip(alone, stacked, reverse):
+            same_solution(a, b)
+            same_solution(a, c)
+        # the iterations differ across the stack, so problems left it at
+        # different times
+        assert len({sol.iterations for sol in alone}) > 1
+
+    def test_a_matrix_is_a_stack_of_one(self):
+        j = stack_set(2)[0]
+        same_solution(sdp.solve(j, 1e-7), sdp.solve(j[None], 1e-7)[0])
+
+    def test_uncertified_problem_leaves_others_alone(self):
+        # on the README sweep config the commutator defect map needs 20
+        # iterations and the n = 64 point 17: with a cap of 18 the first
+        # stops at the cap and the second certifies, each as if alone
+        chois = certificate_set()
+        pair = [chois[0], chois[14]]
+        alone = [sdp.solve(j[None], 1e-7, max_iter=18)[0] for j in pair]
+        stops = [(sol.status, sol.iterations) for sol in alone]
+        assert stops == [("IterationCap", 18), ("Optimal", 17)]
+        for a, b in zip(alone, sdp.solve(np.array(pair), 1e-7, max_iter=18)):
+            same_solution(a, b)
+
+    def test_iterations_total(self):
+        # the stack reports its total iteration count as one int, beside
+        # each problem's own
+        chois = stack_set(2)[:3]
+        sols = sdp.solve(np.array(chois), 1e-7)
+        assert isinstance(sols.iterations, int)
+        assert sols.iterations == sum(sol.iterations for sol in sols)
+        assert sdp.solve(np.zeros((0, 4, 4)), 1e-7) == ()
+
+    def test_failed_newton_factor_stays_in_its_row(self):
+        # a row whose G0 is not positive definite comes back NaN; the other
+        # rows get the step they get alone
+        rng = np.random.default_rng(14)
+        gs = [random_scalings(rng, 2) for _ in range(3)]
+        rhs = np.array([random_rhs(rng, 2) for _ in range(3)])
+        stacks = [np.array(g) for g in zip(*gs)]
+        stacks[0][1] = -stacks[0][1]
+        step = sdp._newton_step(*stacks, rhs)
+        assert np.all(np.isnan(step[1]))
+        for k in (0, 2):
+            assert np.array_equal(step[k], newton_step(gs[k], rhs[k]))
