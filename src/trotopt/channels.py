@@ -27,19 +27,23 @@ Each model carries everything the package asks of it: its config spelling
 
 All supermatrices use the column-stacking convention of
 :mod:`trotopt.linalg`.  The averaged-jitter factors do not commute, so its
-step is raised to the ``n``-th power, carried as its real matrix in the
-Hermitian operator basis of :func:`trotopt.linalg.hermitian_basis_rows`: the
-power runs in real arithmetic, block by block over the step's exact zeros
-(:func:`trotopt.linalg.blocks`), and is converted back once.  Its factors
-are built on the blocks of their terms' union pattern from ``n``-independent
-parts (per term and block, the real and imaginary parts of
-``Q^dag kron(conj(W), W)`` and the energy gaps), which a private one-entry
-memo keeps for the last term set, keyed on the terms' shapes and bytes; a
-grid over ``n`` builds them once.  Sampled-jitter randomness flows through one
-caller-supplied ``numpy.random.Generator`` per circuit run (default PCG64);
-each run draws its own ``rng.normal(0, sigma, size=(n, k))`` table in
-row-major order, so run ``r`` depends on its generator alone, runs with a
-fixed seed are bit-reproducible, and the runs of one call stack in order.
+step is raised to the ``n``-th power, as an increment over the identity so
+that the power does not drift with ``n``.  The terms' sectors (the blocks of
+their union exact nonzero pattern, :func:`trotopt.linalg.blocks`) split the
+channel into ordered sector pairs with exact zeros between them.  A
+diagonal pair is carried as its real matrix in the Hermitian operator basis
+of :func:`trotopt.linalg.hermitian_basis_rows`, powered in real arithmetic
+and converted back at sector size; an off-diagonal pair ``(s, t)`` is
+powered as a complex matrix, and ``(t, s)`` is written as its exact
+Hermitian mirror.  The ``n``-independent parts (per pair, term and block of
+the terms' union pattern there, the pair's eigenbasis superoperator and the
+energy gaps) are kept by a private one-entry memo for the last term set,
+keyed on the terms' shapes and bytes; a grid over ``n`` builds them once.
+Sampled-jitter randomness flows through one caller-supplied
+``numpy.random.Generator`` per circuit run (default PCG64); each run draws
+its own ``rng.normal(0, sigma, size=(n, k))`` table in row-major order, so
+run ``r`` depends on its generator alone, runs with a fixed seed are
+bit-reproducible, and the runs of one call stack in order.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ import numpy as np
 
 from .linalg import (
     block_eigh,
+    blocks,
     block_stacks,
     from_hermitian_basis,
     hermitian_basis_rows,
@@ -153,28 +158,42 @@ class AveragedTimingJitter(_GateJitter):
 
     def channel(self, plan: TrotterPlan) -> np.ndarray:
         """Each term's dephase-and-evolve factor is diagonal in its eigenbasis
-        ``W``: ``B diag(v) B^dag`` with ``B = kron(conj(W), W)`` and
-        ``v = vec(exp(-(a sigma g)^2 / 2 + i tau g))`` over the energy gaps
-        ``g``.  In the Hermitian basis it is ``Re(A diag(v) A^dag)`` with
-        ``A = Q^dag B``, two real products on each stack of equal-size blocks
-        of the terms' union pattern (:func:`_factor_blocks`); the step's power
-        is one stacked real ``matrix_power`` per block size of its zeros."""
+        ``W``: ``X -> W [(W^dag X W) * V] W^dag`` with
+        ``V = exp(-(a sigma g)^2 / 2 + i tau g)`` over the energy gaps ``g``.
+
+        Built per entry of :func:`_sector_pairs` and stack of its blocks, as
+        increments over the identity: a factor's is ``A diag(vec(V - 1))
+        A^dag`` (``expm1``), real ``Re(...)`` with two real products on a
+        diagonal pair, and the step's power is :func:`_power_increment`.  A
+        diagonal pair is converted back from its Hermitian basis at sector
+        size; the pairs between sectors are written with their Hermitian
+        mirror, conjugated at the swapped vec positions, so
+        ``S(X^dag) = S(X)^dag`` holds exactly.  Every supermatrix entry
+        outside the pairs stays exactly zero."""
         sigma = plan.a * self.sigma
-        step = np.zeros((plan.dim**2, plan.dim**2))
-        for i, factors in _factor_blocks(plan.terms):
-            block = None
-            for a_re, a_im, gaps in factors:
-                v = np.exp(-0.5 * (sigma * gaps) ** 2 + 1j * plan.tau * gaps)[:, None, :]
-                av_re = a_re * v.real - a_im * v.imag
-                av_im = a_re * v.imag + a_im * v.real
-                factor = av_re @ a_re.swapaxes(1, 2) + av_im @ a_im.swapaxes(1, 2)
-                block = factor if block is None else factor @ block
-            step[i[:, :, None], i[:, None, :]] = block
-        out = np.zeros_like(step)
-        for i in block_stacks(step):
-            square = (i[:, :, None], i[:, None, :])
-            out[square] = np.linalg.matrix_power(step[square], plan.n)
-        return from_hermitian_basis(out)
+        out = np.zeros((plan.dim**2, plan.dim**2), dtype=complex)
+        for rows, mirror, stacks in _sector_pairs(plan.terms):
+            powered = np.zeros((rows.size, rows.size), dtype=float if mirror is None else complex)
+            for i, factors in stacks:
+                block = None
+                for a, gaps in factors:
+                    v = np.expm1(-0.5 * (sigma * gaps) ** 2 + 1j * plan.tau * gaps)[:, None, :]
+                    if mirror is None:
+                        a_re, a_im = a
+                        av_re = a_re * v.real - a_im * v.imag
+                        av_im = a_re * v.imag + a_im * v.real
+                        factor = av_re @ a_re.swapaxes(1, 2) + av_im @ a_im.swapaxes(1, 2)
+                    else:
+                        factor = (a * v) @ a.conj().swapaxes(1, 2)
+                    block = factor if block is None else factor + block + factor @ block
+                powered[i[:, :, None], i[:, None, :]] = _power_increment(block, plan.n)
+            powered[np.diag_indices(rows.size)] += 1.0
+            if mirror is None:
+                out[rows[:, None], rows] = from_hermitian_basis(powered)
+            else:
+                out[rows[:, None], rows] = powered
+                out[mirror[:, None], mirror] = powered.conj()
+        return out
 
     def costs(self, strengths, t: float, a: float, dim: int) -> tuple[float, float, float]:
         """The bound sees the jitter through the effective width ``a * sigma``."""
@@ -248,30 +267,74 @@ def _depolarized(plan: TrotterPlan, rate: float) -> np.ndarray:
     return (1.0 - rate) * trotter_ideal(plan) + rate * complete_noise(plan.dim)
 
 
-# The last term set's averaged-jitter blocks, keyed on the terms' shapes and
-# bytes; one entry, so a grid over n builds them once and a new term set
-# replaces them.
+def _power_increment(x: np.ndarray, n: int) -> np.ndarray:
+    """``(I + x)^n - I`` for a stack of matrices, by binary powering on the
+    increments: ``(I + r)(I + x) - I = r + x + r x``.  Rounding stays
+    relative to the increments, so the error does not grow like ``n``
+    roundings of ``I`` as in ``matrix_power(I + x, n)``."""
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else result + x + result @ x
+        n >>= 1
+        if not n:
+            return result
+        x = 2.0 * x + x @ x
+
+
+# The last term set's averaged-jitter sector-pair entries, keyed on the
+# terms' shapes and bytes; one entry, so a grid over n builds them once and a
+# new term set replaces them.
 _FACTOR_MEMO: dict = {}
 
 
-def _factor_blocks(terms: tuple[np.ndarray, ...]) -> list[tuple[np.ndarray, list]]:
-    """The ``n``-independent parts of the averaged-jitter factors, for each
-    stack ``i`` of :func:`trotopt.linalg.block_stacks` of the union pattern of
-    the terms' ``A_j = Q^dag kron(conj(W_j), W_j)`` (``W_j`` from
-    :func:`trotopt.linalg.block_eigh`): ``i`` and, per term in order, the
-    real and imaginary parts of ``A_j`` on the stack and the vec'd energy
-    gaps there."""
+def _sector_pairs(terms: tuple[np.ndarray, ...]) -> list[tuple]:
+    """The ``n``-independent parts of the averaged-jitter channel: one entry
+    per diagonal sector pair ``(s, s)``, then one for all pairs ``(s, t)``,
+    ``s < t``.
+
+    The sectors are the :func:`trotopt.linalg.blocks` of the terms' union
+    exact nonzero pattern.  The terms and their eigenbases ``W_j`` are
+    block-diagonal over them, so ``kron(conj(W_j), W_j)`` is block-diagonal
+    over the sector pairs and the channel is zero between pairs.  An entry
+    is ``(rows, mirror, stacks)``: its ascending vec positions ``a + d*b``,
+    their transposes ``b + d*a`` (the mirror pairs; ``None`` on a diagonal
+    pair), and per stack ``i`` of :func:`trotopt.linalg.block_stacks` of the
+    terms' union pattern there, ``i`` and per term its basis and energy gaps
+    ``E_a - E_b`` on the stack.  The basis is ``kron(conj(W_j), W_j)``, in
+    the Hermitian basis (split in real and imaginary parts) on a diagonal
+    pair, whose vec positions that basis keeps.
+    """
     key = tuple((h.shape, h.tobytes()) for h in terms)
     if key not in _FACTOR_MEMO:
+        d = terms[0].shape[0]
+        sector = np.empty(d, dtype=int)
+        for k, s in enumerate(blocks(np.logical_or.reduce([h != 0 for h in terms]))):
+            sector[s] = k
         eigs = [block_eigh(h) for h in terms]
-        bases = [hermitian_basis_rows(unitary_superop(w)) for _, w in eigs]
-        gaps = [vec(evals[:, None] - evals[None, :]) for evals, _ in eigs]
-        parts = []
-        for i in block_stacks(np.logical_or.reduce([b != 0 for b in bases])):
-            on_stack = [(b[i[:, :, None], i[:, None, :]], g[i]) for b, g in zip(bases, gaps)]
-            parts.append((i, [(a.real.copy(), a.imag.copy(), g) for a, g in on_stack]))
+        supers = [unitary_superop(w) for _, w in eigs]
+        gaps = [vec(e[:, None] - e[None, :]) for e, _ in eigs]
+        ends = np.arange(d * d)
+        left, right = sector[ends % d], sector[ends // d]
+        entries = [(np.flatnonzero((left == k) & (right == k)), None) for k in range(sector.max() + 1)]
+        upper = np.flatnonzero(left < right)
+        if upper.size:
+            entries.append((upper, upper // d + d * (upper % d)))
+        pairs = []
+        for rows, mirror in entries:
+            square = (rows[:, None], rows)
+            bases = [m[square] for m in supers]
+            if mirror is None:
+                bases = [hermitian_basis_rows(b) for b in bases]
+            stacks = []
+            for i in block_stacks(np.logical_or.reduce([b != 0 for b in bases])):
+                on_stack = [(b[i[:, :, None], i[:, None, :]], g[rows][i]) for b, g in zip(bases, gaps)]
+                if mirror is None:
+                    on_stack = [((b.real.copy(), b.imag.copy()), g) for b, g in on_stack]
+                stacks.append((i, on_stack))
+            pairs.append((rows, mirror, stacks))
         _FACTOR_MEMO.clear()
-        _FACTOR_MEMO[key] = parts
+        _FACTOR_MEMO[key] = pairs
     return _FACTOR_MEMO[key]
 
 

@@ -420,14 +420,17 @@ def _map_grid(chunk_rows, config: ExperimentConfig, jobs: int, *args) -> list[tu
 # -- sweep ---------------------------------------------------------------
 
 
-def sweep_chunk(config: ExperimentConfig, bounds: dict, indices: range) -> list[tuple]:
+def sweep_chunk(
+    config: ExperimentConfig, bounds: dict, ideal: np.ndarray, indices: range
+) -> list[tuple]:
     """All CSV rows for a chunk of grid indices: the chunk's channels are
-    built first, then each metric scores them in one call; ``bounds`` maps
-    metric name to the precomputed bound constants."""
+    built first, then each metric scores them against the ``n``-independent
+    ``ideal`` map in one call; ``bounds`` maps metric name to the
+    precomputed bound constants."""
     steps = [config.n_grid[index] for index in indices]
     plans = [TrotterPlan(config.terms, t=config.t, n=n, a=config.a) for n in steps]
     faulty = np.array([faulty_trotter(plan, config.noise) for plan in plans])
-    ideal = np.array([ideal_map(plan) for plan in plans])
+    ideal = np.broadcast_to(ideal, faulty.shape)
     rows = []
     for metric in config.metrics:
         scored = _distances(faulty, ideal, metric, config.sdp_tol)
@@ -438,7 +441,8 @@ def sweep_chunk(config: ExperimentConfig, bounds: dict, indices: range) -> list[
 
 
 def _sweep(config: ExperimentConfig, bounds: dict, jobs: int) -> list[tuple]:
-    rows = _map_grid(sweep_chunk, config, jobs, bounds)
+    ideal = ideal_map(TrotterPlan(config.terms, t=config.t, n=1, a=config.a))
+    rows = _map_grid(sweep_chunk, config, jobs, bounds, ideal)
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows
 

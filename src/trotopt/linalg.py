@@ -15,7 +15,11 @@ basis of matrix units ``E_ii``, ``(E_ij + E_ji)/sqrt2`` and
 ``i(E_ij - E_ji)/sqrt2`` (``i > j``), which exists for every ``d``, and
 :func:`from_hermitian_basis` turns a real matrix in that basis back into a
 supermatrix; each element of the basis touches at most two vec positions, so
-a change of basis costs O(d^4) instead of two dense products.
+a change of basis costs O(d^4) instead of two dense products.  Those two
+positions are ``i + d*j`` and its transpose ``j + d*i``, so the basis keeps
+apart only position sets closed under that swap: it merges the operators
+``|s><t|`` and ``|t><s|`` between two sectors ``s != t``, and converting
+such a merged block back leaves roundoff where the map is exactly zero.
 
 Everything here is numpy on small matrices (system dimension up to 16,
 superoperators up to 256 x 256), split where the matrix allows it:
@@ -25,8 +29,8 @@ nonzero pattern, and the eigensystems (:func:`block_eigh`,
 call per block size.  Only entries that are exactly 0.0 separate blocks, with
 no tolerance, so a blockwise value is the value of the same matrix; a matrix
 with no exact zeros is one block and takes the dense path.  Eigenvectors sit
-at their block's own indices, so the zeros survive the products, basis
-changes and powers built from them.
+at their block's own indices, so the zeros survive the products and powers
+built from them.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 Averaged noise channels are checked against Monte-Carlo oracles (sample means
 of the corresponding unitary-jitter channels), against the complex
-supermatrix products they replaced and against the dense real-basis
-composition that the blockwise path replaced; the closed-form depolarizing
+supermatrix products they replaced, against the dense real-basis
+composition that the sector-pair path replaced and against a long-double
+power built on exact spectral projectors; the closed-form depolarizing
 channels against the step-by-step composition of their factors; and the
 second-order error expansion against the exact supermatrix difference.
 """
@@ -84,6 +85,36 @@ def complex_averaged_channel(plan, sigma):
         err = (basis * lam) @ basis.conj().T
         step = err @ evolution_superop(h, plan.tau) @ step
     return np.linalg.matrix_power(step, plan.n)
+
+
+def long_double_averaged_channel(plan, sigma):
+    """The averaged jitter channel in long double, rounded to complex at the
+    end, for terms with integer spectra: each factor is
+    ``sum_{l,m} v(l - m) kron(P_m^T, P_l)`` over the terms' exact spectral
+    projectors ``P_l = prod_{m != l} (H - m) / (l - m)``."""
+    ld = np.longdouble
+    d = plan.dim
+    tau, width = ld(plan.t) / plan.n, ld(plan.a) * ld(sigma)
+    eye = np.eye(d, dtype=np.clongdouble)
+    step = np.eye(d * d, dtype=np.clongdouble)
+    for h in plan.terms:
+        energies = np.round(np.linalg.eigvalsh(h))
+        assert np.allclose(np.linalg.eigvalsh(h), energies, rtol=0, atol=1e-12)
+        energies = np.unique(energies).astype(int).tolist()
+        proj = {}
+        for l in energies:
+            proj[l] = eye
+            for m in energies:
+                if m != l:
+                    proj[l] = proj[l] @ (h.astype(np.clongdouble) - m * eye) / ld(l - m)
+        factor = 0
+        for l in energies:
+            for m in energies:
+                g = ld(l - m)
+                v = np.exp(-(width * g) ** 2 / 2) * (np.cos(tau * g) + 1j * np.sin(tau * g))
+                factor = factor + v * np.kron(proj[m].T, proj[l])
+        step = factor @ step
+    return np.linalg.matrix_power(step, plan.n).astype(complex)
 
 
 def depolarizing_superop(p, d):
@@ -585,15 +616,26 @@ class TestBlockwiseChannels:
             )
             key = tuple((h.shape, h.tobytes()) for h in plan.terms)
             assert list(channels._FACTOR_MEMO) == [key]
+            # the Ising chain's two parity sectors make two diagonal pairs and
+            # one entry for the pairs between them; the x fields connect the
+            # second set's four states in one sector
+            pairs = channels._FACTOR_MEMO[key]
+            assert len(pairs) == (1 if terms is second else 3)
 
-    def test_ising4_step_splits_in_three_blocks(self):
+    def test_ising4_pairs_are_four_blocks_of_64(self):
         # the speed of the 4-qubit averaged-jitter path rests on these blocks:
-        # Z-parity splits each system index set in two halves of 8
+        # Z-parity splits the system indices in two sectors of 8, and each of
+        # the four ordered sector pairs is one block of 64 vec positions
         plan = TrotterPlan(ising_chain(4), t=0.1, n=1)
-        stacks = [i for i, _ in channels._factor_blocks(plan.terms)]
-        assert sorted(i.shape[1] for i in stacks for _ in i) == [64, 64, 128]
-        step = real_in_basis(AveragedTimingJitter(0.01).channel(plan))
-        assert sorted(p.size for p in linalg.blocks(step)) == [64, 64, 128]
+        pairs = channels._sector_pairs(plan.terms)
+        assert [(rows.size, mirror is None) for rows, mirror, _ in pairs] == [
+            (64, True),
+            (64, True),
+            (64, False),
+        ]
+        assert [[i.shape for i, _ in stacks] for _, _, stacks in pairs] == [[(1, 64)]] * 3
+        step = AveragedTimingJitter(0.01).channel(plan)
+        assert [p.size for p in linalg.blocks(step)] == [64] * 4
 
     def test_rotated_chain_is_one_block_with_the_same_j_grid(self):
         # the chain in the x <-> z rotated frame has no exact zeros to split
@@ -610,6 +652,92 @@ class TestBlockwiseChannels:
                 faulty = faulty_trotter(plan, AveragedTimingJitter(0.01))
                 values.append(j_distance(faulty, ideal_map(plan)))
             assert values[1] == pytest.approx(values[0], rel=0, abs=1e-11), n
+
+
+def _random_terms(qubits, count, seed):
+    rng = np.random.default_rng(seed)
+    d = 2**qubits
+    draws = rng.normal(size=(count, 2, d, d))
+    return tuple(linalg.hermitize(x + 1j * y) for x, y in draws)
+
+
+def _popcount(d):
+    return np.array([bin(x).count("1") for x in range(d)])
+
+
+# Term sets and the sector of each basis state, from the symmetry each
+# conserves rather than from the code's pattern search: the Ising chain keeps
+# Z-parity, the XX+YY hopping bonds keep the excitation number (sectors 1, 4,
+# 6, 4, 1), and random dense terms keep nothing (one sector).
+SECTOR_CASES = {
+    "ising:2": (ising_chain(2), _popcount(4) % 2),
+    "ising:3": (ising_chain(3), _popcount(8) % 2),
+    "ising:4": (ising_chain(4), _popcount(16) % 2),
+    "hopping:4": (terms_from_text("4 | xx.. ; yy.. | .xx. ; .yy. | ..xx ; ..yy"), _popcount(16)),
+    "random:2": (_random_terms(2, 3, 5), np.zeros(4, dtype=int)),
+}
+
+
+def _sector_case(name, n):
+    terms, sector = SECTOR_CASES[name]
+    plan = TrotterPlan(terms, t=0.3, n=n, a=1.3)
+    return plan, sector, faulty_trotter(plan, AveragedTimingJitter(0.05))
+
+
+class TestSectorPairs:
+    @pytest.mark.parametrize("name", SECTOR_CASES)
+    def test_entries_outside_the_sector_pairs_are_exact_zeros(self, name):
+        # S[a + d b, i + d j] may be nonzero only where a, i share a sector
+        # and b, j share one; every ordered sector pair is one block
+        plan, sector, s = _sector_case(name, 37)
+        d = plan.dim
+        ends = np.arange(d * d)
+        a, b = sector[ends % d], sector[ends // d]
+        inside = (a[:, None] == a) & (b[:, None] == b)
+        assert np.all(s[~inside] == 0.0)
+        sizes = np.bincount(sector)
+        pairs = sorted(int(x) for x in np.outer(sizes, sizes).ravel())
+        assert sorted(p.size for p in linalg.blocks(s)) == pairs
+
+    @pytest.mark.parametrize("name", SECTOR_CASES)
+    def test_choi_difference_rows_across_sectors_are_exact_zeros(self, name):
+        # Choi row (a, i), output a and input i, vanishes across sectors
+        plan, sector, s = _sector_case(name, 37)
+        d = plan.dim
+        choi = linalg.choi_from_super(s - ideal_map(plan))
+        across = (sector[:, None] != sector).ravel()
+        assert np.all(choi[across] == 0.0)
+        assert np.all(choi[:, across] == 0.0)
+
+    @pytest.mark.parametrize("name", SECTOR_CASES)
+    def test_mirror_holds_bit_for_bit(self, name):
+        # S(X^dag) = S(X)^dag: S[b + d a, j + d i] == conj(S[a + d b, i + d j])
+        plan, _, s = _sector_case(name, 37)
+        d = plan.dim
+        swap = (np.arange(d)[:, None] + d * np.arange(d)).ravel()
+        np.testing.assert_array_equal(s[swap][:, swap], s.conj())
+
+    @pytest.mark.parametrize("n", [1, 100])
+    @pytest.mark.parametrize("name", SECTOR_CASES)
+    def test_j_matches_complex_products(self, name, n):
+        # the complex oracle's own error grows with n: at n = 1000 its J on
+        # hopping:4 lies 1.1e-12 below the long-double value, which the
+        # package meets to 2e-15
+        plan, _, s = _sector_case(name, n)
+        ideal = ideal_map(plan)
+        want = j_distance(complex_averaged_channel(plan, 0.05), ideal)
+        assert j_distance(s, ideal) == pytest.approx(want, rel=0, abs=1e-12)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="no extended long double")
+    @pytest.mark.parametrize("text", ["3 | z.. ; .z. ; ..z | xx. ; .xx", "3 | xx. ; yy. | .xx ; .yy"])
+    def test_j_matches_long_double_reference(self, text):
+        # powering on increments keeps the error near one rounding: a
+        # power of the rounded step would drift by about n * eps (1e-13)
+        plan = TrotterPlan(terms_from_text(text), t=0.3, n=1000, a=1.3)
+        ideal = ideal_map(plan)
+        got = j_distance(faulty_trotter(plan, AveragedTimingJitter(0.05)), ideal)
+        want = j_distance(long_double_averaged_channel(plan, 0.05), ideal)
+        assert got == pytest.approx(want, rel=0, abs=1e-14)
 
 
 class TestRescaling:
