@@ -61,23 +61,26 @@ MONTECARLO_HEADER = ("run_id", "n", "metric", "value")
 # A grid spec is counted before any array is built, so a typo cannot ask for
 # gigabytes.
 MAX_GRID_POINTS = 100_000
-# The averaged channel and the ideal Trotter product are n-th matrix powers,
-# so their trace residual (metrics.TRACE_ATOL = 1e-9, which both metrics
-# check) grows about linearly in n.  At n = MAX_STEPS on Ising chains of 1 to
-# 4 qubits it is at most 4.5e-10 under avg-jitter (sigma 0.01 and 0.05, t 0.1
-# and 1) and 8.5e-10 for the ideal product (t 0.01 to 100); projecting it out
-# moves a 2- or 3-qubit diamond value by 3e-10, far inside the SDP tolerance.
+# The ideal Trotter product is an n-th matrix power of the step unitary, so
+# its trace residual (metrics.TRACE_ATOL = 1e-9, which both metrics check on
+# the depol and decoherence channels built from it) grows with n: at
+# n = MAX_STEPS on Ising chains of 2 to 4 qubits it is at most 8.5e-10 (t 0.01
+# to 100).  The averaged-jitter channel is powered as an increment over the
+# identity and does not drift: there its residual is at most 5.5e-13 (sigma
+# 0.01 and 0.05, t 0.1 and 1).
 MAX_STEPS = 500_000
 # montecarlo holds the (runs, n, k) table of jitter draws in full, at 8 bytes
 # a draw: a montecarlo at the limit (100 runs, n = 50,000, k = 2, an 80 MB
 # table) peaks at 116 MB resident.
 MAX_MONTECARLO_DRAWS = 10_000_000
-# A grid chunk's diamond SDPs are solved as one stack, whose Woodbury factors
-# hold d^6 complex entries per problem; a chunk keeps them within
-# CHUNK_ENTRIES (1 MiB): 16 points at d = 4, one from d = 8 on.  At d = 4 the
-# stack saves the per-call cost of numpy on small arrays, most of a solve
-# there; at d = 8 one solve is bound by arithmetic (0.7 s, 59 MB), so stacking
-# gains nothing.
+# A grid chunk's diamond SDPs are solved as one stack per Choi support, whose
+# Woodbury factors hold m^2 R complex entries per problem, at most d^6 on the
+# full space (sdp.py); a chunk keeps d^6 per point within CHUNK_ENTRIES
+# (1 MiB): 16 points at d = 4, one from d = 8 on.  The sector supports hold
+# less: 512 entries for an ising:2 Trotter difference (m = R = 8), 32,768 for
+# ising:3 (m = R = 32).  At d = 4 the stack saves the per-call cost of numpy on
+# small arrays, most of a solve there; at d = 8 arithmetic dominates a solve
+# (0.2 s and 40 MB on the ising:3 support, 0.9 s and 65 MB on a full one).
 CHUNK_ENTRIES = 2**16
 
 

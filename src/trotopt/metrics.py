@@ -279,14 +279,17 @@ def diamond_distance_unitary(u: np.ndarray, v: np.ndarray):
     return _per_pair(np.where(gaps.max(axis=-1) <= math.pi, 2.0, np.minimum(chord, 2.0)))
 
 
-# One iteration of the diamond SDP costs O(d^8) time and O(d^6) memory.  On
-# one core a random 3-qubit (d = 8) unitary difference certifies at tol 1e-7
-# in 19 iterations, 0.7 s and 59 MB peak.  At d = 16 one iteration takes
-# about 3 s and the solve 1.1 GB peak: a random unitary difference took 20
-# iterations and 55 s, and the 4-qubit Ising jitter defect map stopped with
-# NumericalFailure after 68 iterations at gap 1.1e-7.  So each point of a
-# 4-qubit sweep would take a minute or more, and the diamond metric stops at
-# three qubits.
+# The diamond SDP runs on the sector support of the Choi matrix (sdp.py): one
+# iteration costs O(m^2 R^2) time and O(m^2 R) memory, with m <= d^2 rows and
+# a Woodbury rank R <= d^2.  On one core at tol 1e-7, at d = 8 an ising:3
+# Trotter difference (m = R = 32) certifies in 21 iterations, 0.2 s and 40 MB
+# peak, and a random unitary difference, whose support is full (m = R = 64),
+# in 21 iterations, 0.9 s and 65 MB.  At d = 16 the ising:4 n = 16 Trotter
+# difference and jitter defect map (m = R = 128) certify in 41 and 45
+# iterations, 13 s and 15 s, 210 MB peak.  A full support there (m = R = 256)
+# costs about 3 s an iteration and 1.1 GB peak: a random unitary difference
+# took 20 iterations and 55 s.  So a 4-qubit point without sectors would take
+# a minute, and the diamond metric stops at three qubits.
 DIAMOND_MAX_DIM = 8
 
 

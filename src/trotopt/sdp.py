@@ -8,8 +8,27 @@ dual (arXiv:1207.5726) gives the diamond norm as
     min 2 s  over Hermitian Z (d^2 x d^2) and real s,
     subject to  S0 = Z - J >= 0,  S1 = Z >= 0,  S2 = s I - Tr_out Z >= 0.
 
-The dual blocks ``W0, W1`` (``d^2 x d^2``) and ``W2`` (``d x d``) are PSD with
-``W0 + W1 = I (x) W2`` and ``tr W2 = 2``.  Weak duality
+The program is solved on the support of ``J``.  Its sectors are the
+connected components of the bipartite graph that joins output ``a`` to input
+``i`` wherever row ``(a, i)`` of ``J`` is nonzero; with ``Pi_k`` and
+``Pi'_k`` the output and input projectors of sector ``k``, ``J`` is exactly
+zero outside ``P = sum_k Pi_k (x) Pi'_k``.  For a feasible ``Z``, ``PZP`` is
+feasible too, and ``Tr_out(PZP) = sum_k Pi'_k A_k Pi'_k`` with
+``A_k = Tr_out[(Pi_k (x) I) Z (Pi_k (x) I)] >= 0`` and
+``sum_k A_k <= Tr_out Z``: it lies below the pinching of ``Tr_out Z``, so
+its norm is no larger and the program restricted to ``P`` has the same
+optimum (a support of single coordinates would not do, as its ``Tr_out`` is
+no pinching).  There ``Z`` has the ``m = sum_k |out_k| |in_k|`` rows of
+``P``, ordered (sector, out, in), and ``Tr_out`` maps it to a block-diagonal
+matrix on the ``r = sum_k |in_k|`` inputs that the sectors cover; ``S2``,
+``W2`` and the scaling ``G2`` are block-diagonal too.  The README's
+``ising:2`` maps keep 8 of 16 rows, and ``ising:3`` maps 32 of 64.  A map
+with one sector, or with none (``J = 0``), is solved on all of out (x) in,
+its rows in their own order.
+
+The dual blocks ``W0, W1`` (``m x m``) and ``W2`` (``r x r``) are PSD with
+``W0 + W1 = lift(W2)`` and ``tr W2 = 2``, where ``lift``, the adjoint of
+``Tr_out``, puts ``I (x) Y_k`` on the rows of sector ``k``.  Weak duality
 ``2 s - <J, W0> = sum_k <S_k, W_k> >= 0`` holds for every feasible pair; the
 reported dual value is ``2 s - sum_k <S_k, W_k>``, which equals ``<J, W0>``
 while the dual equalities hold exactly and stays a weak-duality partner of the
@@ -18,33 +37,36 @@ gap is always the complementarity of a strictly PSD pair.  Both values are
 recorded at every iterate.
 
 The start is strictly feasible by construction: ``Z = beta I`` with
-``beta = max |eig J| + 1``, ``s = beta d + 1`` (so ``S2 = I``),
-``W0 = W1 = I/d`` and ``W2 = 2I/d``.  The iteration is a feasible-start
+``beta = max |eig J| + 1``, ``s = beta max_k |out_k| + 1`` (so ``S2 >= I``),
+``W0 = W1 = I/r`` and ``W2 = 2I/r``.  The iteration is a feasible-start
 primal-dual method with Nesterov-Todd scaling ``G_k`` (``G_k S_k G_k = W_k``;
 Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998), a fixed barrier reduction
 factor ``SIGMA = 0.3``, fraction-to-boundary 0.98 and an iteration cap of 200.
 Each iteration solves the Newton system on ``(dZ, ds)``
 
-    G0 dZ G0 + G1 dZ G1 + I (x) G2 (Tr_out dZ - ds I) G2 = R,
-    tr(G2^2) ds - <I (x) G2^2, dZ>                       = r_s,
+    G0 dZ G0 + G1 dZ G1 + lift(G2 (Tr_out dZ - ds I) G2) = R,
+    tr(G2^2) ds - <lift(G2^2), dZ>                        = r_s,
 
 whose operator is Hermitian positive definite, without forming it.  The
 ``G0 dZ G0 + G1 dZ G1`` part is inverted by simultaneous diagonalization of
-``G0`` and ``G1``, the rank-``d^2`` ``Tr_out`` term through Woodbury and
-``ds`` through a scalar Schur complement (:func:`_structured_inverse`).  That
-inverse, exact in exact arithmetic, preconditions at most ``CG_MAX_ITER``
-conjugate-gradient steps on the operator applied matrix-free, which restore
-the accuracy the structured inverse loses as ``cond(G_k)`` approaches 1e10
-near convergence.  One iteration costs O(d^8) time and O(d^6) memory, against
-O(d^12) and O(d^8) for a dense LU of the ``(d^4 + 1)``-square system.
+``G0`` and ``G1``, the ``Tr_out`` term, of rank ``R = sum_k |in_k|^2``,
+through Woodbury and ``ds`` through a scalar Schur complement
+(:func:`_structured_inverse`).  That inverse, exact in exact arithmetic,
+preconditions at most ``CG_MAX_ITER`` conjugate-gradient steps on the
+operator applied matrix-free, which restore the accuracy the structured
+inverse loses as ``cond(G_k)`` approaches 1e10 near convergence.  One
+iteration costs O(m^2 R^2 + m^3) time and O(m^2 R) memory, O(d^8) and O(d^6)
+on the full space, against O(m^6) and O(m^4) for a dense LU of the
+``(m^2 + 1)``-square system.
 
-:func:`solve` takes a stack of problems, which step in lockstep: each array
-holds one row per problem still running, every operation acts row by row
-(one stacked LAPACK or BLAS call per matrix of the stack), and each problem
-leaves the stack at its own stopping test.  So a problem's result does not
-depend on the others in its stack, while the cost of each numpy call is paid
-once per stack rather than once per problem; at d = 4 that cost, about
-1.3 ms per iteration, is most of a solve.
+:func:`solve` takes a stack of problems.  Those with the same support step in
+lockstep: each array holds one row per problem still running, every operation
+acts row by row (one stacked LAPACK or BLAS call per matrix of the stack),
+and each problem leaves the stack at its own stopping test.  Problems with
+another support form their own stack.  So a problem's result does not depend
+on the others in its stack, while the cost of each numpy call is paid once
+per stack rather than once per problem; at d = 4 that cost, about 1.3 ms per
+iteration, is most of a solve.
 
 Everything is dense numpy and deterministic.
 """
@@ -56,7 +78,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hermitize, partial_trace
+from .linalg import blocks, hermitize, partial_trace
 
 SIGMA = 0.3
 BOUNDARY_FRACTION = 0.98
@@ -73,7 +95,7 @@ class SdpSolution:
     iterations: int
     status: str  # "Optimal" | "IterationCap" | "NumericalFailure"
     trace: list[tuple[float, float]] = field(default_factory=list)
-    # max(|W0 + W1 - I (x) W2|_max, |tr W2 - 2|) at the reported iterate
+    # max(|W0 + W1 - lift(W2)|_max, |tr W2 - 2|) at the reported iterate
     dual_residual: float = np.nan
 
 
@@ -84,6 +106,71 @@ class SdpStack(tuple):
     def iterations(self) -> int:
         """The iterations of all problems of the stack, summed."""
         return sum(sol.iterations for sol in self)
+
+
+@dataclass(frozen=True)
+class _Sectors:
+    """The support ``P = sum_k Pi_k (x) Pi'_k`` of a Choi matrix on out (x) in.
+
+    ``rows`` are the rows of out (x) in that ``P`` keeps, ordered (sector,
+    out, in).  Sectors of equal size sit next to each other, one entry of
+    ``runs`` per size: ``(sectors, outs, ins, row)`` has ``sectors`` sectors
+    of ``outs`` outputs and ``ins`` inputs each, whose rows start at ``row``
+    of the support.  On an ``r x r`` matrix over the covered inputs,
+    ``cells`` are the flat positions of the diagonal blocks, sector by
+    sector and row-major in each, and ``mask`` is True there; ``lift_to``
+    are the flat positions of an ``m x m`` matrix that ``lift`` fills, from
+    the flat positions ``lift_from`` of the ``r x r`` one.
+    """
+
+    rows: np.ndarray
+    runs: tuple[tuple[int, int, int, int], ...]
+    r: int
+    max_out: int
+    cells: np.ndarray
+    mask: np.ndarray
+    lift_to: np.ndarray
+    lift_from: np.ndarray
+
+
+def _sectors(used: np.ndarray) -> _Sectors:
+    """The sectors of a Choi matrix on out (x) in, both of dimension ``d``,
+    from the mask ``used`` (length ``d^2``) of its nonzero rows: the
+    connected components of the bipartite graph with an edge ``a - i`` for
+    each used row ``(a, i)``, ordered by size (outputs, then inputs) and
+    within a size as :func:`linalg.blocks` orders them.  A component without
+    an output or an input keeps no row, and a mask with no used row gives
+    one sector of all of out (x) in."""
+    d = math.isqrt(used.size)
+    graph = np.zeros((2 * d, 2 * d), dtype=bool)
+    graph[:d, d:] = used.reshape(d, d)
+    parts = [(c[c < d], c[c >= d] - d) for c in blocks(graph)]
+    parts = [(outs, ins) for outs, ins in parts if outs.size and ins.size]
+    parts = sorted(parts or [(np.arange(d), np.arange(d))], key=lambda p: (p[0].size, p[1].size))
+    m = sum(outs.size * ins.size for outs, ins in parts)
+    r = sum(ins.size for _, ins in parts)
+    rows, runs, cells, lift_to, lift_from = [], [], [], [], []
+    row = col = 0
+    for outs, ins in parts:
+        if runs and runs[-1][1:3] == [outs.size, ins.size]:
+            runs[-1][0] += 1
+        else:
+            runs.append([1, outs.size, ins.size, row])
+        rows.append((outs[:, None] * d + ins).ravel())
+        at = np.arange(ins.size)
+        cell = ((col + at[:, None]) * r + col + at).ravel()
+        lifted = row + np.arange(outs.size)[:, None] * ins.size + at
+        cells.append(cell)
+        lift_to.append((lifted[:, :, None] * m + lifted[:, None, :]).ravel())
+        lift_from.append(np.tile(cell, outs.size))
+        row, col = row + lifted.size, col + ins.size
+    cells = np.concatenate(cells)
+    mask = np.zeros(r * r, dtype=bool)
+    mask[cells] = True
+    return _Sectors(
+        np.concatenate(rows), tuple(map(tuple, runs)), r, max(outs.size for outs, _ in parts),
+        cells, mask.reshape(r, r), np.concatenate(lift_to), np.concatenate(lift_from),
+    )
 
 
 def _rows(keep: np.ndarray, items):
@@ -132,41 +219,42 @@ def _max_step(shrink_half: np.ndarray, direction: np.ndarray) -> np.ndarray:
     return np.divide(-1.0, lo, out=np.full(len(lo), np.inf), where=lo < 0.0)
 
 
-def _newton_apply(g0, g1, g2, v: np.ndarray) -> np.ndarray:
+def _newton_apply(sectors: _Sectors, g0, g1, g2, v: np.ndarray) -> np.ndarray:
     """The Newton operator on each row ``v = (vec dZ, ds)``:
-    ``(G0 dZ G0 + G1 dZ G1 + I (x) G2 (Tr_out dZ - ds I) G2,
-    tr(G2^2) ds - <I (x) G2^2, dZ>)``."""
-    count, d = len(v), g2.shape[-1]
-    dz = v[:, :-1].reshape(count, d * d, d * d)
-    red = _tr_out(dz)
-    shift = v[:, -1].real[:, None, None] * np.eye(d)
+    ``(G0 dZ G0 + G1 dZ G1 + lift(G2 (Tr_out dZ - ds I) G2),
+    tr(G2^2) ds - <lift(G2^2), dZ>)``."""
+    count, m = len(v), g0.shape[-1]
+    dz = v[:, :-1].reshape(count, m, m)
+    red = _tr_out(sectors, dz)
+    shift = v[:, -1].real[:, None, None] * np.eye(sectors.r)
     out = np.empty_like(v)
-    image = g0 @ dz @ g0 + g1 @ dz @ g1 + _lift(g2 @ (red - shift) @ g2)
-    out[:, :-1] = image.reshape(count, d**4)
+    image = g0 @ dz @ g0 + g1 @ dz @ g1 + _lift(sectors, g2 @ (red - shift) @ g2)
+    out[:, :-1] = image.reshape(count, m * m)
     out[:, -1] = _dot(g2, g2 @ (shift - red))
     return out
 
 
-def _structured_inverse(g0, g1, g2):
+def _structured_inverse(sectors: _Sectors, g0, g1, g2):
     """The inverse of the Newton operator of :func:`_newton_apply`, as
     ``(ok, factors)`` for :func:`_inverse_apply`; ``ok`` is False on the rows
     where ``G0`` is not positive definite, and their factors mean nothing.
+    ``G2`` must be block-diagonal over the sectors.
 
     ``K(X) = G0 X G0 + G1 X G1`` is inverted by simultaneous
     diagonalization: with ``G0 = L L^+`` and ``L^-1 G1 L^-+ = V diag(lam) V^+``,
     ``T = L^-+ V`` gives ``K^-1 = S S^+`` with ``S(Y) = T (Y / D^(1/2)) T^+``
     and ``D = 1 + lam lam^T`` (entry by entry).  The ``Tr_out`` term is
-    ``U C U^+`` with ``U Y = I (x) Y`` and ``C Y = G2 Y G2``, of rank ``d^2``.
+    ``U C U^+`` with ``U Y = lift(Y)`` and ``C Y = G2 Y G2`` on the
+    block-diagonal ``Y``, of rank ``R = sum_k |in_k|^2``.
     With ``Phi = S^+ U C^(1/2)`` and ``Phi^+ Phi = P diag(sigma^2) P^+``,
     ``Q = Phi P / sigma`` has orthonormal columns and Woodbury gives
     ``(K + U C U^+)^-1 = S (I - Q diag(sigma^2 / (1 + sigma^2)) Q^+) S^+``.
     Near convergence ``sigma^2`` reaches 1e10; applying the inverse of the
     capacitance ``I + Phi^+ Phi`` instead loses about that factor in accuracy.
     The ``ds`` border is the scalar Schur complement
-    ``w^+ (I + Phi^+ Phi)^-1 w > 0`` with ``w = vec G2``.
+    ``w^+ (I + Phi^+ Phi)^-1 w > 0`` with ``w = vec G2`` over its blocks.
     """
-    count, d = len(g2), g2.shape[-1]
-    n = d * d
+    count, n = len(g0), g0.shape[-1]
     # L = q diag(mu)^(1/2) rather than a Cholesky factor: numpy has no
     # triangular solve, and inverting the Cholesky factor gave negative lam
     # near convergence
@@ -180,22 +268,31 @@ def _structured_inverse(g0, g1, g2):
     lam = np.maximum(lam, 0.0)
     root_d = np.sqrt(1.0 + lam[:, :, None] * lam[:, None, :])
 
-    # Phi column (a, b) is S^+(I (x) H E_ab H) with H = G2^(1/2).  With T
-    # split as T[c, b, k] (row index (c, b) on out (x) in), entry (k, l) of
-    # T^+ (I (x) H E_ab H) T is sum_c conj(Y[c, a, k]) Y[c, b, l], Y[c] = H T[c].
-    g2_evals, g2_vecs = np.linalg.eigh(g2)
-    half = (g2_vecs * np.sqrt(np.maximum(g2_evals, 0.0))[:, None, :]) @ _adj(g2_vecs)
-    y_rows = (half[:, None] @ t.reshape(count, d, d, n)).reshape(count, d, d * n)
-    lifted = (_adj(y_rows) @ y_rows).reshape(count, d, n, d, n) / root_d[:, None, :, None, :]
-    phi = lifted.transpose(0, 2, 4, 1, 3).reshape(count, n * n, n)
+    # Phi column (k, a, b) is S^+(lift_k(H E_ab H)) with H = G2_k^(1/2) on
+    # sector k, one stack per run of equal sectors.  With the sector's rows of
+    # T split as T[c, b, l] (c an output, b an input), entry (l, l') of
+    # T^+ lift_k(H E_ab H) T is sum_c conj(Y[c, a, l]) Y[c, b, l'], Y[c] = H T[c].
+    w = g2.reshape(count, sectors.r**2)[:, sectors.cells]
+    phis, col = [], 0
+    for sectors_, outs, ins, row in sectors.runs:
+        g2_k = w[:, col : col + sectors_ * ins * ins].reshape(count, sectors_, ins, ins)
+        col += sectors_ * ins * ins
+        g2_evals, g2_vecs = np.linalg.eigh(g2_k)
+        half = (g2_vecs * np.sqrt(np.maximum(g2_evals, 0.0))[..., None, :]) @ _adj(g2_vecs)
+        t_k = t[:, row : row + sectors_ * outs * ins].reshape(count, sectors_, outs, ins, n)
+        y_rows = (half[:, :, None] @ t_k).reshape(count, sectors_, outs, ins * n)
+        lifted = (_adj(y_rows) @ y_rows).reshape(count, sectors_, ins, n, ins, n)
+        lifted = lifted / root_d[:, None, None, :, None, :]
+        phis.append(lifted.transpose(0, 3, 5, 1, 2, 4).reshape(count, n * n, sectors_ * ins * ins))
+    phi = np.concatenate(phis, axis=-1)
     sigma2, p_vecs = np.linalg.eigh(hermitize(_adj(phi) @ phi))
     sigma2 = np.maximum(sigma2, 0.0)
     sigma = np.sqrt(sigma2)
     q_phi = (phi @ p_vecs) / np.where(sigma > 0.0, sigma, 1.0)[:, None, :]
     shrink = sigma2 / (1.0 + sigma2)
-    # the border column I (x) G2^2 is U C^(1/2) vec(G2), so S^+ maps it to
-    # Phi w, and the middle factor maps that to Q diag(sigma / (1 + sigma^2)) P^+ w
-    pw = _mv(_adj(p_vecs), g2.reshape(count, n))
+    # the border column lift(G2^2) is U C^(1/2) w, so S^+ maps it to Phi w,
+    # and the middle factor maps that to Q diag(sigma / (1 + sigma^2)) P^+ w
+    pw = _mv(_adj(p_vecs), w)
     schur = np.sum(np.abs(pw) ** 2 / (1.0 + sigma2), axis=-1)
     border = t @ (_mv(q_phi, sigma / (1.0 + sigma2) * pw).reshape(count, n, n) / root_d) @ t_adj
     return ok, (t, t_adj, root_d, q_phi, _adj(q_phi), shrink, border, schur)
@@ -216,18 +313,19 @@ def _inverse_apply(factors, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _newton_step(g0, g1, g2, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``_newton_apply(g0, g1, g2, v) = rhs`` row by row by conjugate
-    gradients on the real inner product ``Re <u, v>``, preconditioned with the
-    structured inverse; each row stops at its own residual test, and a row
-    whose ``G0`` is not positive definite comes back NaN.
+def _newton_step(sectors: _Sectors, g0, g1, g2, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``_newton_apply(sectors, g0, g1, g2, v) = rhs`` row by row by
+    conjugate gradients on the real inner product ``Re <u, v>``,
+    preconditioned with the structured inverse; each row stops at its own
+    residual test, and a row whose ``G0`` is not positive definite comes back
+    NaN.
 
     On the last Newton systems of seeded random d = 2 and 4 solves at
     tol 1e-9, where ``cond(G_k)`` reaches 1e10, the structured inverse alone
     left relative residuals up to 2e-6 and the CG steps 3e-11, against 2e-9
     for a dense LU.
     """
-    ok, factors = _structured_inverse(g0, g1, g2)
+    ok, factors = _structured_inverse(sectors, g0, g1, g2)
     step = np.full_like(rhs, np.nan)
     live = np.flatnonzero(ok)
     gs, r = (g0, g1, g2), rhs.copy()
@@ -248,7 +346,7 @@ def _newton_step(g0, g1, g2, rhs: np.ndarray) -> np.ndarray:
         z = _inverse_apply(factors, r)
         rz, rz_old = _dot(r, z), rz
         p = z if p is None else z + (rz / rz_old)[:, None] * p
-        q = _newton_apply(*gs, p)
+        q = _newton_apply(sectors, *gs, p)
         alpha = (rz / _dot(p, q))[:, None]
         x += alpha * p
         r -= alpha * q
@@ -256,19 +354,28 @@ def _newton_step(g0, g1, g2, rhs: np.ndarray) -> np.ndarray:
     return step
 
 
-def _lift(y: np.ndarray) -> np.ndarray:
-    """``I (x) Y`` for each ``Y`` of a stack, the adjoint of ``Tr_out``."""
-    count, d = len(y), y.shape[-1]
-    out = np.zeros((count, d, d, d, d), dtype=y.dtype)
-    diag = np.arange(d)
-    out[:, diag, :, diag, :] = y
-    return out.reshape(count, d * d, d * d)
+def _lift(sectors: _Sectors, y: np.ndarray) -> np.ndarray:
+    """``I (x) Y_k`` on the rows of each sector ``k``, for each block-diagonal
+    ``Y`` of a stack on the covered inputs: the adjoint of :func:`_tr_out`."""
+    m = len(sectors.rows)
+    out = np.zeros((len(y), m * m), dtype=y.dtype)
+    out[:, sectors.lift_to] = y.reshape(len(y), sectors.r**2)[:, sectors.lift_from]
+    return out.reshape(len(y), m, m)
 
 
-def _tr_out(m: np.ndarray) -> np.ndarray:
-    """``Tr_out`` of each matrix of a stack on out (x) in, both of dimension ``d``."""
-    d = math.isqrt(m.shape[-1])
-    return partial_trace(m, (d, d), 1)
+def _tr_out(sectors: _Sectors, z: np.ndarray) -> np.ndarray:
+    """``Tr_out`` of each matrix of a stack on the support, sector by sector,
+    as a block-diagonal matrix on the covered inputs."""
+    count, r = len(z), sectors.r
+    parts = []
+    for sectors_, outs, ins, row in sectors.runs:
+        hi = row + sectors_ * outs * ins
+        split = z[:, row:hi, row:hi].reshape(count, sectors_, outs * ins, sectors_, outs * ins)
+        z_k = split.diagonal(axis1=1, axis2=3).transpose(0, 3, 1, 2)
+        parts.append(partial_trace(z_k, (outs, ins), 1).reshape(count, sectors_ * ins * ins))
+    out = np.zeros((count, r * r), dtype=z.dtype)
+    out[:, sectors.cells] = np.concatenate(parts, axis=-1)
+    return out.reshape(count, r, r)
 
 
 def _nt_scaling(s_half: np.ndarray, s_invhalf: np.ndarray, w: np.ndarray):
@@ -288,8 +395,9 @@ def solve(j: np.ndarray, tol: float, max_iter: int = DEFAULT_MAX_ITER):
     a ``(B, d^2, d^2)`` stack of maps on dimension ``d``, until its duality
     gap is at most ``tol``.
 
-    The problems step in lockstep and each leaves the stack at its own
-    stopping test, with its own status, trace and best iterate; its result
+    Each problem is solved on the support of its Choi matrix.  The problems
+    with the same support step in lockstep and each leaves the stack at its
+    own stopping test, with its own status, trace and best iterate; its result
     is bit for bit the one it gets when solved alone.  Returns an
     :class:`SdpStack`, whose ``iterations`` is the stack's total.  A single
     ``d^2 x d^2`` matrix is solved as a stack of one, and its
@@ -304,14 +412,33 @@ def solve(j: np.ndarray, tol: float, max_iter: int = DEFAULT_MAX_ITER):
         raise ValueError(f"Choi matrix must be d^2 x d^2 with d >= 1, got shape {j.shape}")
     if not (np.all(np.isfinite(chois)) and np.abs(chois - _adj(chois)).max(initial=0.0) <= 1e-10):
         raise ValueError("Choi matrix must be finite and Hermitian")
-    count, n = len(chois), d**4
-    eye_in = np.eye(d)
+    nonzero = chois != 0
+    stacks: dict = {}
+    for k, used in enumerate(nonzero.any(axis=-1) | nonzero.any(axis=-2)):
+        sectors = _sectors(used)
+        key = (sectors.rows.tobytes(), sectors.runs)
+        stacks.setdefault(key, (sectors, []))[1].append(k)
+    solutions: list = [None] * len(chois)
+    for sectors, members in stacks.values():
+        rows = sectors.rows
+        part = chois[members][:, rows[:, None], rows]
+        for k, sol in zip(members, _solve_stack(sectors, part, tol, max_iter)):
+            solutions[k] = sol
+    return solutions[0] if j.ndim == 2 else SdpStack(solutions)
+
+
+def _solve_stack(sectors: _Sectors, chois: np.ndarray, tol: float, max_iter: int):
+    """:func:`solve` on a stack of Choi matrices gathered onto the support
+    ``sectors``, as a list of :class:`SdpSolution`."""
+    count, m, r = len(chois), len(sectors.rows), sectors.r
+    n = m * m
+    eye_in = np.eye(r)
 
     beta = np.max(np.abs(np.linalg.eigvalsh(chois)), axis=-1) + 1.0
-    z = beta[:, None, None] * np.eye(d * d, dtype=complex)
-    s = beta * d + 1.0
-    w_start = np.repeat(np.eye(d * d, dtype=complex)[None] / d, count, axis=0)
-    ws = [w_start, w_start, np.repeat(2.0 * np.eye(d, dtype=complex)[None] / d, count, axis=0)]
+    z = beta[:, None, None] * np.eye(m, dtype=complex)
+    s = beta * sectors.max_out + 1.0
+    w_start = np.repeat(np.eye(m, dtype=complex)[None] / r, count, axis=0)
+    ws = [w_start, w_start, np.repeat(2.0 * np.eye(r, dtype=complex)[None] / r, count, axis=0)]
     stalls = np.zeros(count, dtype=int)
 
     status = ["IterationCap"] * count
@@ -325,7 +452,7 @@ def solve(j: np.ndarray, tol: float, max_iter: int = DEFAULT_MAX_ITER):
     # keep the barrier target from collapsing below what double precision can
     # certify; iterates then hover near the tolerance scale instead of
     # grinding into singular S, W
-    total_dim = 2 * d * d + d
+    total_dim = 2 * m + r
     mu_floor = 0.25 * tol / total_dim
 
     def retire(out, why, *arrays):
@@ -343,7 +470,7 @@ def solve(j: np.ndarray, tol: float, max_iter: int = DEFAULT_MAX_ITER):
         if not live.size:
             break
         iterations[live] = it
-        slacks = [hermitize(z - chois), z, hermitize(s[:, None, None] * eye_in - _tr_out(z))]
+        slacks = [hermitize(z - chois), z, hermitize(s[:, None, None] * eye_in - _tr_out(sectors, z))]
         roots = [_psd_sqrt_pair(sk) for sk in slacks]
         failed = np.min([lo for *_, lo in roots], axis=0) <= 0.0
         chois, z, s, ws, stalls, slacks, roots = retire(
@@ -365,29 +492,32 @@ def solve(j: np.ndarray, tol: float, max_iter: int = DEFAULT_MAX_ITER):
         chois, z, s, ws, stalls, slacks, roots, mu, scalings = retire(
             failed, "NumericalFailure", chois, z, s, ws, stalls, slacks, roots, mu, scalings
         )
-        gs = [g for g, *_ in scalings]
         target = (SIGMA * mu)[:, None, None]
         rcs = [target * (wih @ wih) - sk for sk, (_, wih, _) in zip(slacks, scalings)]
+        # S2 and W2 are block-diagonal; cut the roundoff of their eigh-built
+        # functions off the blocks, so G2, the W2 step and W2 stay so exactly
+        gs = [g for g, *_ in scalings[:2]] + [np.where(sectors.mask, scalings[2][0], 0.0)]
+        rcs[2] = np.where(sectors.mask, rcs[2], 0.0)
         grg = [g @ rc @ g for g, rc in zip(gs, rcs)]
 
         # the dual residual of the current W is zero up to roundoff drift;
         # the step works on Hermitian dZ, and grg is Hermitian up to roundoff
         rhs = np.empty((len(live), n + 1), dtype=complex)
-        rhs_z = hermitize(grg[0] + grg[1] + ws[0] + ws[1] - _lift(grg[2] + ws[2]))
+        rhs_z = hermitize(grg[0] + grg[1] + ws[0] + ws[1] - _lift(sectors, grg[2] + ws[2]))
         rhs[:, :n] = rhs_z.reshape(len(live), n)
         rhs[:, n] = (
             np.trace(grg[2], axis1=1, axis2=2).real + np.trace(ws[2], axis1=1, axis2=2).real - 2.0
         )
-        step = _newton_step(*gs, rhs)
+        step = _newton_step(sectors, *gs, rhs)
         chois, z, s, ws, stalls, roots, scalings, gs, rcs, step = retire(
             ~np.all(np.isfinite(step), axis=1),
             "NumericalFailure",
             chois, z, s, ws, stalls, roots, scalings, gs, rcs, step,
         )
-        dz = hermitize(step[:, :n].reshape(len(live), d * d, d * d))
+        dz = hermitize(step[:, :n].reshape(len(live), m, m))
         ds = step[:, n].real
 
-        dslacks = [dz, dz, hermitize(ds[:, None, None] * eye_in - _tr_out(dz))]
+        dslacks = [dz, dz, hermitize(ds[:, None, None] * eye_in - _tr_out(sectors, dz))]
         dws = [hermitize(g @ (rc - dsk) @ g) for g, rc, dsk in zip(gs, rcs, dslacks)]
         # the fraction scales every step bound alike, so it may scale their least
         steps_p = [_max_step(root[1], dsk) for root, dsk in zip(roots, dslacks)]
@@ -413,10 +543,10 @@ def solve(j: np.ndarray, tol: float, max_iter: int = DEFAULT_MAX_ITER):
             ws, row = recorded[k]
             w0, w1, w2 = (w[row] for w in ws)
             dual_residual = max(
-                float(np.max(np.abs(w0 + w1 - _lift(w2[None])[0]))),
+                float(np.max(np.abs(w0 + w1 - _lift(sectors, w2[None])[0]))),
                 abs(float(np.trace(w2).real) - 2.0),
             )
         solutions.append(
             SdpSolution(primal, dual, gap, int(iterations[k]), status[k], traces[k], dual_residual)
         )
-    return solutions[0] if j.ndim == 2 else SdpStack(solutions)
+    return solutions

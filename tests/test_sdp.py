@@ -62,24 +62,41 @@ def certificate_set():
 PHASE_FLIP = choi_from_super(unitary_superop(np.diag([1.0, -1.0]).astype(complex)) - np.eye(4))
 
 
-def tr_out_matrix(d):
-    """``P``: row-major ``vec(Z)`` -> ``vec(Tr_out Z)`` for ``Z`` on out (x) in."""
-    p = np.zeros((d * d, d**4))
-    for a in range(d):
-        for b in range(d):
-            for bp in range(d):
-                p[b * d + bp, (a * d + b) * d * d + a * d + bp] = 1.0
+def full(d):
+    """The sectors of a Choi matrix on all of out (x) in, both of dimension ``d``."""
+    return sdp._sectors(np.ones(d * d, dtype=bool))
+
+
+def support(j):
+    """The sectors of a Choi matrix, from its nonzero rows."""
+    return sdp._sectors(np.any(j != 0, axis=-1))
+
+
+def tr_out_matrix(sectors):
+    """``P``: row-major ``vec(Z)`` -> ``vec(Tr_out Z)`` for ``Z`` on the rows of
+    ``sectors`` (ordered sector, out, in), sector by sector onto the covered
+    inputs."""
+    m, r = len(sectors.rows), sectors.r
+    p = np.zeros((r * r, m * m))
+    row = col = 0
+    for count, outs, ins, _ in sectors.runs:
+        for _ in range(count):
+            for a in range(outs):
+                for b in range(ins):
+                    for bp in range(ins):
+                        p[(col + b) * r + col + bp, (row + a * ins + b) * m + row + a * ins + bp] = 1.0
+            row, col = row + outs * ins, col + ins
     return p
 
 
-def dense_newton(g0, g1, g2):
-    """The bordered ``(d^4 + 1)``-square Newton matrix on row-major
+def dense_newton(g0, g1, g2, sectors=None):
+    """The bordered ``(m^2 + 1)``-square Newton matrix on row-major
     ``(vec dZ, ds)``: block ``kron(G0, G0^T) + kron(G1, G1^T) + P^T kron(G2, G2^T) P``,
-    border ``-vec(I (x) G2^2)``, corner ``tr G2^2``."""
-    d = g2.shape[0]
-    n = d**4
-    p = tr_out_matrix(d)
-    border = np.kron(np.eye(d), g2 @ g2).reshape(-1)
+    border ``-P^T vec(G2^2)``, corner ``tr G2^2``; on all of out (x) in
+    unless ``sectors`` are given."""
+    p = tr_out_matrix(sectors or full(g2.shape[0]))
+    n = p.shape[1]
+    border = p.T @ (g2 @ g2).reshape(-1)
     m = np.empty((n + 1, n + 1), dtype=complex)
     m[:n, :n] = np.kron(g0, g0.T) + np.kron(g1, g1.T) + p.T @ np.kron(g2, g2.T) @ p
     m[:n, n] = -border
@@ -100,14 +117,18 @@ def random_rhs(rng, d):
     return rhs
 
 
-def newton_step(gs, rhs):
-    """``sdp._newton_step`` on one system, as a stack of one."""
-    return sdp._newton_step(*(g[None] for g in gs), rhs[None])[0]
+def newton_step(gs, rhs, sectors=None):
+    """``sdp._newton_step`` on one system, as a stack of one, on all of
+    out (x) in unless ``sectors`` are given."""
+    sectors = sectors or full(gs[2].shape[0])
+    return sdp._newton_step(sectors, *(g[None] for g in gs), rhs[None])[0]
 
 
-def newton_apply(gs, v):
-    """``sdp._newton_apply`` on one vector, as a stack of one."""
-    return sdp._newton_apply(*(g[None] for g in gs), v[None])[0]
+def newton_apply(gs, v, sectors=None):
+    """``sdp._newton_apply`` on one vector, as a stack of one, on all of
+    out (x) in unless ``sectors`` are given."""
+    sectors = sectors or full(gs[2].shape[0])
+    return sdp._newton_apply(sectors, *(g[None] for g in gs), v[None])[0]
 
 
 def relative_residual(m, x, rhs):
@@ -434,15 +455,16 @@ class TestStack:
         same_solution(sdp.solve(j, 1e-7), sdp.solve(j[None], 1e-7)[0])
 
     def test_uncertified_problem_leaves_others_alone(self):
-        # on the README sweep config the commutator defect map needs 20
-        # iterations and the n = 64 point 17: with a cap of 18 the first
-        # stops at the cap and the second certifies, each as if alone
+        # on the README sweep config the n = 1 point needs 17 iterations and
+        # the n = 64 point 16, on the same support: with a cap of 16 the
+        # first stops at the cap and the second certifies, each as if alone
         chois = certificate_set()
-        pair = [chois[0], chois[14]]
-        alone = [sdp.solve(j[None], 1e-7, max_iter=18)[0] for j in pair]
+        pair = [chois[2], chois[14]]
+        assert np.array_equal(support(pair[0]).rows, support(pair[1]).rows)
+        alone = [sdp.solve(j[None], 1e-7, max_iter=16)[0] for j in pair]
         stops = [(sol.status, sol.iterations) for sol in alone]
-        assert stops == [("IterationCap", 18), ("Optimal", 17)]
-        for a, b in zip(alone, sdp.solve(np.array(pair), 1e-7, max_iter=18)):
+        assert stops == [("IterationCap", 16), ("Optimal", 16)]
+        for a, b in zip(alone, sdp.solve(np.array(pair), 1e-7, max_iter=16)):
             same_solution(a, b)
 
     def test_iterations_total(self):
@@ -462,7 +484,120 @@ class TestStack:
         rhs = np.array([random_rhs(rng, 2) for _ in range(3)])
         stacks = [np.array(g) for g in zip(*gs)]
         stacks[0][1] = -stacks[0][1]
-        step = sdp._newton_step(*stacks, rhs)
+        step = sdp._newton_step(full(2), *stacks, rhs)
         assert np.all(np.isnan(step[1]))
         for k in (0, 2):
             assert np.array_equal(step[k], newton_step(gs[k], rhs[k]))
+
+
+def used_rows(d, edges):
+    """The nonzero-row mask of a Choi matrix on out (x) in, both of dimension
+    ``d``, whose nonzero rows are the ``(out, in)`` pairs ``edges``."""
+    used = np.zeros(d * d, dtype=bool)
+    for a, i in edges:
+        used[a * d + i] = True
+    return used
+
+
+# output 0 with inputs 1 and 2, outputs 1 and 2 with input 0, outputs 3 and
+# 4 with inputs 3 and 4, and outputs 5 and 6 each with its own input: runs of
+# two sectors of size (1, 1), one of (1, 2), one of (2, 1) and one of (2, 2)
+UNEQUAL = used_rows(7, [(0, 1), (0, 2), (1, 0), (2, 0), (3, 3), (3, 4), (4, 4), (5, 5), (6, 6)])
+
+
+def block_diagonal_pd(rng, sectors):
+    """A random positive definite matrix on the inputs that ``sectors``
+    cover, block-diagonal over them."""
+    g = np.zeros((sectors.r, sectors.r), dtype=complex)
+    col = 0
+    for count, _, ins, _ in sectors.runs:
+        for _ in range(count):
+            g[col : col + ins, col : col + ins] = random_pd(rng, ins)
+            col += ins
+    return g
+
+
+def trotter_difference_choi(hamiltonian, n=4):
+    """Hermitian Choi matrix of the averaged-jitter Trotter channel less the
+    ideal map, at t = 0.1."""
+    config = build_config({"hamiltonian": hamiltonian, "noise": "avg-jitter:0.01"})
+    plan = TrotterPlan(config.terms, t=0.1, n=n, a=1.0)
+    j = choi_from_super(faulty_trotter(plan, config.noise) - ideal_map(plan))
+    return 0.5 * (j + j.conj().T)
+
+
+def defect_chois(hamiltonian):
+    """Hermitian Choi matrices of the commutator and jitter defect maps."""
+    terms = list(build_config({"hamiltonian": hamiltonian}).terms)
+    chois = [choi_from_super(phi) for phi in (commutator_defect_map(terms), jitter_defect_map(terms))]
+    return [0.5 * (j + j.conj().T) for j in chois]
+
+
+class TestSupport:
+    def test_parity_sectors_of_the_ising_pair(self):
+        # the Trotter difference keeps the two parity sectors; the
+        # commutator defect map splits more finely
+        sectors = support(trotter_difference_choi("ising:2", n=16))
+        assert sorted(sectors.rows.tolist()) == [0, 3, 5, 6, 9, 10, 12, 15]
+        assert sectors.runs == ((2, 2, 2, 0),)
+        assert (sectors.r, sectors.max_out) == (4, 2)
+        assert support(defect_chois("ising:2")[0]).runs == ((2, 1, 1, 0), (1, 2, 2, 2))
+
+    def test_connected_rows_give_one_full_sector(self):
+        # rows (0, 0), (1, 0) and (1, 1) join both outputs and both inputs;
+        # a map with no nonzero row is solved on the full space too
+        for used in (used_rows(2, [(0, 0), (1, 0), (1, 1)]), np.zeros(4, dtype=bool)):
+            sectors = sdp._sectors(used)
+            assert sectors.rows.tolist() == [0, 1, 2, 3]
+            assert sectors.runs == ((1, 2, 2, 0),)
+            assert (sectors.r, sectors.max_out) == (2, 2)
+
+    def test_unequal_sectors(self):
+        sectors = sdp._sectors(UNEQUAL)
+        # ordered by size; row (a, i) is 7 a + i, and (4, 3) joins (3, 4)
+        assert sectors.rows.tolist() == [40, 48, 1, 2, 7, 14, 24, 25, 31, 32]
+        assert sectors.runs == ((2, 1, 1, 0), (1, 1, 2, 2), (1, 2, 1, 4), (1, 2, 2, 6))
+        assert (sectors.r, sectors.max_out) == (7, 2)
+        blocks = np.eye(7, dtype=bool)
+        blocks[2:4, 2:4] = blocks[5:7, 5:7] = True
+        assert np.array_equal(sectors.mask, blocks)
+
+    def test_newton_operator_on_unequal_sectors(self):
+        # the matrix-free operator equals the dense matrix built with the
+        # sector-restricted Tr_out, the structured inverse inverts it, and
+        # the step returns the vector it was applied to
+        rng = np.random.default_rng(31)
+        sectors = sdp._sectors(UNEQUAL)
+        m = len(sectors.rows)
+        for _ in range(3):
+            gs = random_pd(rng, m), random_pd(rng, m), block_diagonal_pd(rng, sectors)
+            newton = dense_newton(*gs, sectors)
+            assert np.linalg.eigvalsh(newton)[0] > 0.0
+            x = np.empty(m * m + 1, dtype=complex)
+            x[:-1] = random_hermitian(rng, m).reshape(-1)
+            x[-1] = rng.standard_normal()
+            want = newton @ x
+            placed = newton_apply(gs, x, sectors)
+            assert np.linalg.norm(placed - want) <= 1e-12 * np.linalg.norm(want)
+            ok, factors = sdp._structured_inverse(sectors, *(g[None] for g in gs))
+            assert ok.all()
+            assert relative_residual(newton, sdp._inverse_apply(factors, want[None])[0], want) <= 1e-12
+            back = newton_step(gs, want, sectors)
+            assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
+
+    def test_reduced_matches_full(self):
+        # a conjugation by U (x) V keeps the diamond norm and leaves no
+        # exact zero, so the conjugated map is solved on the full space
+        rng = np.random.default_rng(41)
+        tol = 1e-7
+        chois = [*defect_chois("ising:2"), trotter_difference_choi("ising:2")]
+        chois += [trotter_difference_choi("ising:3"), defect_chois("3 | xx. ; yy. | .xx ; .yy")[0]]
+        for j in chois:
+            d = int(round(np.sqrt(j.shape[0])))
+            uv = np.kron(random_unitary(rng, d), random_unitary(rng, d))
+            turned = uv @ j @ uv.conj().T
+            assert len(support(j).rows) < d * d
+            assert support(turned).rows.tolist() == list(range(d * d))
+            reduced, whole = sdp.solve(j, tol), sdp.solve(turned, tol)
+            assert (reduced.status, whole.status) == ("Optimal", "Optimal")
+            assert abs(reduced.primal - whole.primal) <= tol
