@@ -37,8 +37,8 @@ and converted back at sector size; an off-diagonal pair ``(s, t)`` is
 powered as a complex matrix, and ``(t, s)`` is written as its exact
 Hermitian mirror.  The ``n``-independent parts (per pair, term and block of
 the terms' union pattern there, the pair's eigenbasis superoperator and the
-energy gaps) are kept by a private one-entry memo for the last term set,
-keyed on the terms' shapes and bytes; a grid over ``n`` builds them once.
+energy gaps) belong to the plan's :class:`TermSet`, built once for every
+plan sharing it; the ideal product is powered as an increment too.
 Sampled-jitter randomness flows through one caller-supplied
 ``numpy.random.Generator`` per circuit run (default PCG64); each run draws
 its own ``rng.normal(0, sigma, size=(n, k))`` table in row-major order, so
@@ -51,6 +51,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import get_args
 
 import numpy as np
@@ -68,39 +69,96 @@ from .linalg import (
 )
 
 
+class TermSet(tuple):
+    """The summands ``H_j`` of a splitting, checked Hermitian and of equal
+    dimension and frozen as read-only complex copies (``TermSet`` of a term
+    set is that object).  Its analysis, each term's ``block_eigh`` and the
+    :attr:`sector_pairs`, is built on first use and kept for every holder."""
+
+    def __new__(cls, terms):
+        if isinstance(terms, TermSet):
+            return terms
+        frozen = []
+        for idx, h in enumerate(terms):
+            h = require_hermitian(h, f"terms[{idx}]").astype(complex)
+            if frozen and h.shape != frozen[0].shape:
+                raise ValueError(f"terms[{idx}] has dimension {len(h)}, expected {len(frozen[0])}")
+            h.setflags(write=False)
+            frozen.append(h)
+        if not frozen:
+            raise ValueError("need at least one Hamiltonian term")
+        return super().__new__(cls, frozen)
+
+    @cached_property
+    def eighs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return tuple(block_eigh(h) for h in self)
+
+    @cached_property
+    def sector_pairs(self) -> list[tuple]:
+        """The ``n``-independent parts of the averaged-jitter channel: one
+        entry per diagonal sector pair ``(s, s)``, then one for all pairs
+        ``(s, t)``, ``s < t``.
+
+        The sectors are the :func:`trotopt.linalg.blocks` of the terms' union
+        exact nonzero pattern.  The terms and their eigenbases ``W_j`` are
+        block-diagonal over them, so ``kron(conj(W_j), W_j)`` is
+        block-diagonal over the sector pairs and the channel is zero between
+        pairs.  An entry is ``(rows, mirror, stacks)``: its ascending vec
+        positions ``a + d*b``, their transposes ``b + d*a`` (the mirror
+        pairs; ``None`` on a diagonal pair), and per stack ``i`` of
+        :func:`trotopt.linalg.block_stacks` of the terms' union pattern
+        there, ``i`` and per term its basis and energy gaps ``E_a - E_b`` on
+        the stack.  The basis is ``kron(conj(W_j), W_j)``, in the Hermitian
+        basis (split in real and imaginary parts) on a diagonal pair, whose
+        vec positions that basis keeps.
+        """
+        d = self[0].shape[0]
+        sector = np.empty(d, dtype=int)
+        for k, s in enumerate(blocks(np.logical_or.reduce([h != 0 for h in self]))):
+            sector[s] = k
+        supers = [unitary_superop(w) for _, w in self.eighs]
+        gaps = [vec(e[:, None] - e[None, :]) for e, _ in self.eighs]
+        ends = np.arange(d * d)
+        left, right = sector[ends % d], sector[ends // d]
+        entries = [(np.flatnonzero((left == k) & (right == k)), None) for k in range(sector.max() + 1)]
+        upper = np.flatnonzero(left < right)
+        if upper.size:
+            entries.append((upper, upper // d + d * (upper % d)))
+        pairs = []
+        for rows, mirror in entries:
+            square = (rows[:, None], rows)
+            bases = [m[square] for m in supers]
+            if mirror is None:
+                bases = [hermitian_basis_rows(b) for b in bases]
+            stacks = []
+            for i in block_stacks(np.logical_or.reduce([b != 0 for b in bases])):
+                on_stack = [(b[i[:, :, None], i[:, None, :]], g[rows][i]) for b, g in zip(bases, gaps)]
+                if mirror is None:
+                    on_stack = [((b.real.copy(), b.imag.copy()), g) for b, g in on_stack]
+                stacks.append((i, on_stack))
+            pairs.append((rows, mirror, stacks))
+        return pairs
+
+
 @dataclass(frozen=True)
 class TrotterPlan:
     """Splitting of a Hamiltonian evolution into a first-order product formula.
 
     :param terms: the summands ``H_j`` (Hermitian, equal dimension,
-        dimensionless energy units), applied in list order within each step.
+        dimensionless energy units), applied in list order within each step;
+        any sequence of matrices, held as a :class:`TermSet`.
     :param t: total dimensionless evolution time, ``>= 0``.
     :param n: number of Trotter steps, ``>= 1``.
     :param a: time-energy scale factor, ``> 0``.
     """
 
-    terms: tuple[np.ndarray, ...]
+    terms: TermSet
     t: float
     n: int
     a: float = 1.0
 
     def __post_init__(self):
-        if len(self.terms) == 0:
-            raise ValueError("TrotterPlan needs at least one term")
-        frozen = []
-        dim = None
-        for idx, h in enumerate(self.terms):
-            h = require_hermitian(h, f"terms[{idx}]").astype(complex)
-            if dim is None:
-                dim = h.shape[0]
-            elif h.shape[0] != dim:
-                raise ValueError(
-                    f"terms[{idx}] has dimension {h.shape[0]}, expected {dim}"
-                )
-            h = h.copy()
-            h.setflags(write=False)
-            frozen.append(h)
-        object.__setattr__(self, "terms", tuple(frozen))
+        object.__setattr__(self, "terms", TermSet(self.terms))
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "a", float(self.a))
         if self.t < 0:
@@ -161,7 +219,7 @@ class AveragedTimingJitter(_GateJitter):
         ``W``: ``X -> W [(W^dag X W) * V] W^dag`` with
         ``V = exp(-(a sigma g)^2 / 2 + i tau g)`` over the energy gaps ``g``.
 
-        Built per entry of :func:`_sector_pairs` and stack of its blocks, as
+        Built per entry of :attr:`TermSet.sector_pairs` and stack of its blocks, as
         increments over the identity: a factor's is ``A diag(vec(V - 1))
         A^dag`` (``expm1``), real ``Re(...)`` with two real products on a
         diagonal pair, and the step's power is :func:`_power_increment`.  A
@@ -172,7 +230,7 @@ class AveragedTimingJitter(_GateJitter):
         outside the pairs stays exactly zero."""
         sigma = plan.a * self.sigma
         out = np.zeros((plan.dim**2, plan.dim**2), dtype=complex)
-        for rows, mirror, stacks in _sector_pairs(plan.terms):
+        for rows, mirror, stacks in plan.terms.sector_pairs:
             powered = np.zeros((rows.size, rows.size), dtype=float if mirror is None else complex)
             for i, factors in stacks:
                 block = None
@@ -271,7 +329,7 @@ def _power_increment(x: np.ndarray, n: int) -> np.ndarray:
     """``(I + x)^n - I`` for a stack of matrices, by binary powering on the
     increments: ``(I + r)(I + x) - I = r + x + r x``.  Rounding stays
     relative to the increments, so the error does not grow like ``n``
-    roundings of ``I`` as in ``matrix_power(I + x, n)``."""
+    roundings of ``I`` as in a plain power of ``I + x``."""
     result = None
     while True:
         if n & 1:
@@ -280,62 +338,6 @@ def _power_increment(x: np.ndarray, n: int) -> np.ndarray:
         if not n:
             return result
         x = 2.0 * x + x @ x
-
-
-# The last term set's averaged-jitter sector-pair entries, keyed on the
-# terms' shapes and bytes; one entry, so a grid over n builds them once and a
-# new term set replaces them.
-_FACTOR_MEMO: dict = {}
-
-
-def _sector_pairs(terms: tuple[np.ndarray, ...]) -> list[tuple]:
-    """The ``n``-independent parts of the averaged-jitter channel: one entry
-    per diagonal sector pair ``(s, s)``, then one for all pairs ``(s, t)``,
-    ``s < t``.
-
-    The sectors are the :func:`trotopt.linalg.blocks` of the terms' union
-    exact nonzero pattern.  The terms and their eigenbases ``W_j`` are
-    block-diagonal over them, so ``kron(conj(W_j), W_j)`` is block-diagonal
-    over the sector pairs and the channel is zero between pairs.  An entry
-    is ``(rows, mirror, stacks)``: its ascending vec positions ``a + d*b``,
-    their transposes ``b + d*a`` (the mirror pairs; ``None`` on a diagonal
-    pair), and per stack ``i`` of :func:`trotopt.linalg.block_stacks` of the
-    terms' union pattern there, ``i`` and per term its basis and energy gaps
-    ``E_a - E_b`` on the stack.  The basis is ``kron(conj(W_j), W_j)``, in
-    the Hermitian basis (split in real and imaginary parts) on a diagonal
-    pair, whose vec positions that basis keeps.
-    """
-    key = tuple((h.shape, h.tobytes()) for h in terms)
-    if key not in _FACTOR_MEMO:
-        d = terms[0].shape[0]
-        sector = np.empty(d, dtype=int)
-        for k, s in enumerate(blocks(np.logical_or.reduce([h != 0 for h in terms]))):
-            sector[s] = k
-        eigs = [block_eigh(h) for h in terms]
-        supers = [unitary_superop(w) for _, w in eigs]
-        gaps = [vec(e[:, None] - e[None, :]) for e, _ in eigs]
-        ends = np.arange(d * d)
-        left, right = sector[ends % d], sector[ends // d]
-        entries = [(np.flatnonzero((left == k) & (right == k)), None) for k in range(sector.max() + 1)]
-        upper = np.flatnonzero(left < right)
-        if upper.size:
-            entries.append((upper, upper // d + d * (upper % d)))
-        pairs = []
-        for rows, mirror in entries:
-            square = (rows[:, None], rows)
-            bases = [m[square] for m in supers]
-            if mirror is None:
-                bases = [hermitian_basis_rows(b) for b in bases]
-            stacks = []
-            for i in block_stacks(np.logical_or.reduce([b != 0 for b in bases])):
-                on_stack = [(b[i[:, :, None], i[:, None, :]], g[rows][i]) for b, g in zip(bases, gaps)]
-                if mirror is None:
-                    on_stack = [((b.real.copy(), b.imag.copy()), g) for b, g in on_stack]
-                stacks.append((i, on_stack))
-            pairs.append((rows, mirror, stacks))
-        _FACTOR_MEMO.clear()
-        _FACTOR_MEMO[key] = pairs
-    return _FACTOR_MEMO[key]
 
 
 def evolution_superop(h: np.ndarray, tau: float) -> np.ndarray:
@@ -365,18 +367,15 @@ def ideal_map(plan: TrotterPlan) -> np.ndarray:
     return evolution_superop(total, plan.t)
 
 
-def trotter_step_unitary(plan: TrotterPlan) -> np.ndarray:
-    """The ``d x d`` unitary of one ideal Trotter step, terms applied in list order."""
-    u = np.eye(plan.dim, dtype=complex)
-    for h in plan.terms:
-        u = hermitian_exp(h, plan.tau) @ u
-    return u
-
-
 def trotter_ideal(plan: TrotterPlan) -> np.ndarray:
-    """Supermatrix of the noiseless ``n``-step first-order product formula."""
-    step = trotter_step_unitary(plan)
-    return unitary_superop(np.linalg.matrix_power(step, plan.n))
+    """Supermatrix of the noiseless ``n``-step first-order product formula,
+    terms in list order: the factor increments ``W diag(expm1(i tau E))
+    W^dag`` compose to the step's, powered by :func:`_power_increment`."""
+    step = None
+    for e, w in plan.terms.eighs:
+        factor = (w * np.expm1(1j * plan.tau * e)) @ w.conj().T
+        step = factor if step is None else factor + step + factor @ step
+    return unitary_superop(np.eye(plan.dim) + _power_increment(step, plan.n))
 
 
 def jitter_deltas(plan: TrotterPlan, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -396,15 +395,14 @@ def sampled_trotter_unitary(
     Run ``r`` draws its ``(n, k)`` table from ``rngs[r]`` alone, into row ``r``
     of one ``(runs, n, k)`` array, so the draws are held once.  Each gate runs for
     ``t/n + a*delta`` on the unscaled generator (``exp(i a H_j (t/(a n) + delta))``
-    in simuland units), as ``V diag(exp(i theta lambda)) V^dag`` with one ``eigh`` per term.
+    in simuland units), as ``W diag(exp(i theta E)) W^dag`` on the term set's eigensystems.
     """
     deltas = np.empty((len(rngs), plan.n, len(plan.terms)))
     for run, rng in enumerate(rngs):
         deltas[run] = jitter_deltas(plan, sigma, rng)
-    eigs = [np.linalg.eigh(h) for h in plan.terms]
     u = np.eye(plan.dim, dtype=complex)  # the first gate broadcasts it over the runs
     for i in range(plan.n):
-        for j, (evals, evecs) in enumerate(eigs):
+        for j, (evals, evecs) in enumerate(plan.terms.eighs):
             phases = np.exp(1j * (plan.tau + plan.a * deltas[:, i, j])[:, None] * evals)
             u = ((evecs * phases[:, None, :]) @ evecs.conj().T) @ u
     return u
@@ -437,7 +435,7 @@ def commutator_defect_map(terms: tuple[np.ndarray, ...] | list[np.ndarray]) -> n
     Built from ``c = sum_{j<l} [H_j, H_l]``; one ideal-vs-split step differs
     from the exact step by ``(tau^2 / 2)`` times this map, to second order.
     """
-    terms = [require_hermitian(h, "term") for h in terms]
+    terms = TermSet(terms)
     d = terms[0].shape[0]
     c = np.zeros((d, d), dtype=complex)
     for j in range(len(terms)):
@@ -453,7 +451,7 @@ def jitter_defect_map(terms: tuple[np.ndarray, ...] | list[np.ndarray]) -> np.nd
     - kron(conj(H_j), H_j)``; one averaged faulty step deviates from the
     split step by ``sigma^2`` times this map, to second order.
     """
-    terms = [require_hermitian(h, "term") for h in terms]
+    terms = TermSet(terms)
     d = terms[0].shape[0]
     out = np.zeros((d * d, d * d), dtype=complex)
     for h in terms:

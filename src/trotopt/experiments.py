@@ -26,6 +26,7 @@ from .channels import (
     AveragedTimingJitter,
     Depolarizing,
     NoiseModel,
+    TermSet,
     TimingJitter,
     TrotterPlan,
     complete_noise,
@@ -61,13 +62,13 @@ MONTECARLO_HEADER = ("run_id", "n", "metric", "value")
 # A grid spec is counted before any array is built, so a typo cannot ask for
 # gigabytes.
 MAX_GRID_POINTS = 100_000
-# The ideal Trotter product is an n-th matrix power of the step unitary, so
-# its trace residual (metrics.TRACE_ATOL = 1e-9, which both metrics check on
-# the depol and decoherence channels built from it) grows with n: at
-# n = MAX_STEPS on Ising chains of 2 to 4 qubits it is at most 8.5e-10 (t 0.01
-# to 100).  The averaged-jitter channel is powered as an increment over the
-# identity and does not drift: there its residual is at most 5.5e-13 (sigma
-# 0.01 and 0.05, t 0.1 and 1).
+# The ideal Trotter product (the depol and decoherence channels' base) and the
+# averaged-jitter channel are powered as increments over the identity, so their
+# trace residual (metrics.TRACE_ATOL = 1e-9, checked by both metrics) does not
+# drift with n.  At n = MAX_STEPS on Ising chains of 2 to 4 qubits the ideal
+# product's is at most 7.5e-14 (t 0.01 to 100) and the averaged channel's
+# 5.5e-13 (sigma 0.01 and 0.05, t 0.1 and 1); on random dense terms of 1 to 4
+# qubits the ideal product's is at most 1.3e-15 (t 0.1 and 1).
 MAX_STEPS = 500_000
 # montecarlo holds the (runs, n, k) table of jitter draws in full, at 8 bytes
 # a draw: a montecarlo at the limit (100 runs, n = 50,000, k = 2, an 80 MB
@@ -116,13 +117,14 @@ def default_n_grid(lo: int = 1, hi: int = 1000, per_decade: int = 24) -> tuple[i
 class ExperimentConfig:
     """Resolved inputs of one experiment.
 
-    ``terms`` are the Hamiltonian summands, ``label`` a short human-readable
-    tag for them ("ising:2" or "custom").  ``n_grid`` lists the step numbers
-    to visit, strictly increasing.  ``master_seed`` feeds every derived
-    generator; ``out`` is the CSV destination (``None`` writes to stdout).
+    ``terms`` are the Hamiltonian summands, one shared :class:`TermSet`;
+    ``label`` a short human-readable tag for them ("ising:2" or "custom").
+    ``n_grid`` lists the step numbers to visit, strictly increasing.
+    ``master_seed`` feeds every derived generator; ``out`` is the CSV
+    destination (``None`` writes to stdout).
     """
 
-    terms: tuple[np.ndarray, ...]
+    terms: TermSet
     label: str
     noise: NoiseModel
     t: float = 0.1
@@ -135,8 +137,10 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if not self.terms:
-            raise ConfigError("config needs at least one Hamiltonian term")
+        try:
+            object.__setattr__(self, "terms", TermSet(self.terms))
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         if not isinstance(self.noise, NoiseModel):
             raise ConfigError(
                 f"unknown noise model {self.noise!r} (known: {', '.join(NOISES)})"

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import NoiseModel, commutator_defect_map, jitter_defect_map
+from .channels import NoiseModel, TermSet, commutator_defect_map, jitter_defect_map
 from .metrics import JDistance, Metric
 
 
@@ -59,9 +59,7 @@ def defect_strengths(
     The first vanishes when all terms commute.  Both maps go to the metric
     as one stack, so the diamond metric solves them as one stacked SDP.
     """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("at least one Hamiltonian term is required")
+    terms = TermSet(terms)
     maps = np.stack([commutator_defect_map(terms), jitter_defect_map(terms)])
     commutator_strength, jitter_strength = metric.norm(maps, sdp_tol)
     return float(commutator_strength), float(jitter_strength)

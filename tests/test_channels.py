@@ -12,11 +12,12 @@ second-order error expansion against the exact supermatrix difference.
 import numpy as np
 import pytest
 
-from trotopt import channels, linalg
+from trotopt import linalg
 from trotopt.channels import (
     AveragedTimingJitter,
     Decoherence,
     Depolarizing,
+    TermSet,
     TimingJitter,
     TrotterPlan,
     commutator_defect_map,
@@ -29,7 +30,6 @@ from trotopt.channels import (
     sampled_trotter_unitary,
     single_step_error_expansion,
     trotter_ideal,
-    trotter_step_unitary,
 )
 from trotopt.experiments import default_n_grid
 from trotopt.hamiltonians import ising_chain, terms_from_text
@@ -129,8 +129,16 @@ def real_in_basis(s):
     return linalg.hermitian_basis_rows(left).real.T
 
 
+def step_unitary(plan):
+    """One ideal Trotter step, each term's ``hermitian_exp`` in list order."""
+    u = np.eye(plan.dim, dtype=complex)
+    for h in plan.terms:
+        u = linalg.hermitian_exp(h, plan.tau) @ u
+    return u
+
+
 def complex_depolarizing_channel(plan, p):
-    step = depolarizing_superop(p, plan.dim) @ linalg.unitary_superop(trotter_step_unitary(plan))
+    step = depolarizing_superop(p, plan.dim) @ linalg.unitary_superop(step_unitary(plan))
     return np.linalg.matrix_power(step, plan.n)
 
 
@@ -151,7 +159,7 @@ def dense_real_averaged_channel(plan, sigma):
 
 
 def dense_real_depolarizing_channel(plan, p):
-    step = depolarizing_superop(p, plan.dim) @ linalg.unitary_superop(trotter_step_unitary(plan))
+    step = depolarizing_superop(p, plan.dim) @ linalg.unitary_superop(step_unitary(plan))
     real_step = real_in_basis(step)
     return linalg.from_hermitian_basis(np.linalg.matrix_power(real_step, plan.n))
 
@@ -383,13 +391,13 @@ class TestSampledJitter:
     @pytest.mark.parametrize("qubits", [1, 2, 4])
     def test_preallocated_table_gives_the_stacked_runs(self, qubits):
         # oracle: the sampler as it was when it stacked a list of per-run
-        # tables; filling one preallocated table must not move a bit
+        # tables, on the same term-set eigensystems; filling one preallocated
+        # table must not move a bit
         def stacked_sampler(plan, sigma, rngs):
             deltas = np.stack([jitter_deltas(plan, sigma, rng) for rng in rngs])
-            eigs = [np.linalg.eigh(h) for h in plan.terms]
             u = np.eye(plan.dim, dtype=complex)
             for i in range(plan.n):
-                for j, (evals, evecs) in enumerate(eigs):
+                for j, (evals, evecs) in enumerate(plan.terms.eighs):
                     phases = np.exp(1j * (plan.tau + plan.a * deltas[:, i, j])[:, None] * evals)
                     u = ((evecs * phases[:, None, :]) @ evecs.conj().T) @ u
             return u
@@ -439,9 +447,11 @@ class TestIdealAndTrotter:
         np.testing.assert_allclose(trotter_ideal(plan), evolution_superop(SX, 0.5), atol=1e-12)
 
     def test_step_unitary_order_is_list_order(self):
-        plan = qubit_plan(t=0.6, n=2)
+        plan = qubit_plan(t=0.3, n=1)
         expected = linalg.hermitian_exp(SX, 0.3) @ linalg.hermitian_exp(SZ, 0.3)
-        np.testing.assert_allclose(trotter_step_unitary(plan), expected, atol=1e-12)
+        np.testing.assert_allclose(
+            trotter_ideal(plan), linalg.unitary_superop(expected), atol=1e-12
+        )
 
 
 class TestFaultyTrotter:
@@ -599,35 +609,37 @@ class TestBlockwiseChannels:
 
     def test_memo_follows_terms_and_parameters(self):
         # two term sets of one shape alternate, then a, sigma and n change
-        # alone; every channel matches the dense composition, and the memo
-        # holds the last term set only
-        first = tuple(ising_chain(2))
-        second = tuple(terms_from_text("2 | x. ; .x | zz"))
+        # alone; every channel matches the dense composition, plans from one
+        # term set share its sector pairs, and a new set builds its own
+        first = TermSet(ising_chain(2))
+        second = TermSet(terms_from_text("2 | x. ; .x | zz"))
         cases = [(first, 3, 1.0, 0.05), (second, 3, 1.0, 0.05)] * 2
         cases += [(second, 3, 1.7, 0.05), (second, 3, 1.7, 0.11), (second, 9, 1.7, 0.11)]
-        cases += [(tuple(h.copy() for h in first), 9, 1.7, 0.11)]
+        cases += [(TermSet(h.copy() for h in first), 9, 1.7, 0.11)]
+        seen = {}
         for terms, n, a, sigma in cases:
             plan = TrotterPlan(terms, t=0.2, n=n, a=a)
+            assert plan.terms is terms
             np.testing.assert_allclose(
                 AveragedTimingJitter(sigma).channel(plan),
                 dense_real_averaged_channel(plan, sigma),
                 rtol=0,
                 atol=1e-12,
             )
-            key = tuple((h.shape, h.tobytes()) for h in plan.terms)
-            assert list(channels._FACTOR_MEMO) == [key]
+            pairs = seen.setdefault(id(terms), plan.terms.sector_pairs)
+            assert plan.terms.sector_pairs is pairs
             # the Ising chain's two parity sectors make two diagonal pairs and
             # one entry for the pairs between them; the x fields connect the
             # second set's four states in one sector
-            pairs = channels._FACTOR_MEMO[key]
             assert len(pairs) == (1 if terms is second else 3)
+        assert len({id(p) for p in seen.values()}) == 3
 
     def test_ising4_pairs_are_four_blocks_of_64(self):
         # the speed of the 4-qubit averaged-jitter path rests on these blocks:
         # Z-parity splits the system indices in two sectors of 8, and each of
         # the four ordered sector pairs is one block of 64 vec positions
         plan = TrotterPlan(ising_chain(4), t=0.1, n=1)
-        pairs = channels._sector_pairs(plan.terms)
+        pairs = TermSet(ising_chain(4)).sector_pairs
         assert [(rows.size, mirror is None) for rows, mirror, _ in pairs] == [
             (64, True),
             (64, True),

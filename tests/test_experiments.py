@@ -11,10 +11,12 @@ from trotopt import metrics, sdp
 from trotopt.channels import (
     AveragedTimingJitter,
     Depolarizing,
+    TermSet,
     TimingJitter,
     TrotterPlan,
     faulty_trotter,
     ideal_map,
+    trotter_ideal,
 )
 from trotopt.experiments import (
     MAX_GRID_POINTS,
@@ -67,6 +69,13 @@ def small_config(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def _dense_terms(qubits):
+    """Two random dense Hermitian terms on ``qubits`` qubits, seeded by it."""
+    d = 2**qubits
+    draws = np.random.default_rng(qubits).normal(size=(2, 2, d, d))
+    return tuple(x + 1j * y + (x + 1j * y).conj().T for x, y in draws)
 
 
 class TestDefaultGrid:
@@ -208,14 +217,22 @@ class TestSettingParsers:
         # random dense terms have one sector and no exact zeros; powering on
         # increments keeps the trace residual at most 3.6e-13 on these draws,
         # where a power of the rounded step left 2.8e-11 to 8.8e-10
-        rng = np.random.default_rng(qubits)
-        d = 2**qubits
-        draws = rng.normal(size=(2, 2, d, d))
-        terms = tuple(x + 1j * y + (x + 1j * y).conj().T for x, y in draws)
+        terms = _dense_terms(qubits)
         plan = TrotterPlan(terms, t=1.0, n=MAX_STEPS, a=1.0)
-        one = np.eye(d).reshape(-1)
+        one = np.eye(2**qubits).reshape(-1)
         channel = faulty_trotter(plan, AveragedTimingJitter(0.01))
         assert np.max(np.abs(one @ channel - one)) <= 1e-12
+
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+    def test_max_steps_ideal_product_on_dense_terms_keeps_trace(self, qubits):
+        # the ideal product is powered on increments too: its trace residual
+        # is at most 1.3e-15 on these draws, where a matrix power of the step
+        # unitary left 1.6e-10 to 1.2e-9
+        terms = _dense_terms(qubits)
+        one = np.eye(2**qubits).reshape(-1)
+        for t in (0.1, 1.0):
+            channel = trotter_ideal(TrotterPlan(terms, t=t, n=MAX_STEPS, a=1.0))
+            assert np.max(np.abs(one @ channel - one)) <= 1e-13
 
     def test_max_steps_diamond_ignores_the_trace_residual(self):
         # the averaged channel keeps trace to roundoff at MAX_STEPS; a
@@ -268,6 +285,21 @@ class TestBuildConfig:
             small_config(master_seed=2**64)
         with pytest.raises(ConfigError, match=">= 1"):
             small_config(n_grid=(0, 1))
+
+    def test_terms_checked_at_construction(self):
+        # a library caller's bad terms fail here, before any defect map
+        z, x = ising_chain(2)
+        bad = (
+            ((z + 1j * x,), r"terms\[0\] is not Hermitian"),
+            ((z, np.eye(2)), r"terms\[1\] has dimension 2, expected 4"),
+            ((), "at least one"),
+        )
+        for terms, message in bad:
+            with pytest.raises(ConfigError, match=message):
+                small_config(terms=terms)
+        config = small_config()
+        assert isinstance(config.terms, TermSet)
+        assert TrotterPlan(config.terms, t=0.1, n=3).terms is config.terms
 
     def test_metric_dimension_checked_at_construction(self):
         four_qubits = tuple(ising_chain(4))
@@ -935,6 +967,23 @@ class TestCli:
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         row = out.read_text(encoding="utf-8").splitlines()[-1].split(",")
         assert row[0] == str(MAX_STEPS) and row[1] == "diamond" and row[-1] == "ok"
+
+    @pytest.mark.parametrize("noise", ["decoherence:0.01", "depol:1e-9"])
+    def test_dense_j_sweep_at_max_steps_exits_zero(self, noise, tmp_path):
+        # these channels are built from the ideal product, whose trace
+        # residual was 1.055e-9 here (above TRACE_ATOL) when it was a matrix
+        # power of the step unitary, so the sweep failed after building them
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "hamiltonian = 4 | x... ; .y.. ; z.z. ; ...x ; 0.7 xy.. ; .zz. "
+            "| .zx. ; y..z ; ..yy ; 0.3 xxxx ; zyxz ; x.y.\n"
+            f"t = 0.1\nnoise = {noise}\nmetrics = j\nn_grid = 1,{MAX_STEPS}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        row = out.read_text(encoding="utf-8").splitlines()[-1].split(",")
+        assert row[0] == str(MAX_STEPS) and row[1] == "j" and row[-1] == "ok"
 
     def test_montecarlo_draw_limit_exit_two(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
