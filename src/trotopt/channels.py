@@ -38,8 +38,8 @@ powered as a complex matrix, and ``(t, s)`` is written as its exact
 Hermitian mirror.  The ``n``-independent parts (per pair, term and block of
 the terms' union pattern there, the pair's eigenbasis superoperator and the
 energy gaps) belong to the plan's :class:`TermSet`, built once for every
-plan sharing it; the ideal product is powered as an increment too.
-Sampled-jitter randomness flows through one caller-supplied
+plan sharing it; the ideal product and a sampled run's gates are increments
+too.  Sampled-jitter randomness flows through one caller-supplied
 ``numpy.random.Generator`` per circuit run (default PCG64); each run draws
 its own ``rng.normal(0, sigma, size=(n, k))`` table in row-major order, so
 run ``r`` depends on its generator alone, runs with a fixed seed are
@@ -161,13 +161,13 @@ class TrotterPlan:
         object.__setattr__(self, "terms", TermSet(self.terms))
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "a", float(self.a))
-        if self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
+        if not (math.isfinite(self.t) and self.t >= 0):
+            raise ValueError(f"t must be finite and >= 0, got {self.t}")
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
-        if self.a <= 0:
-            raise ValueError(f"a must be > 0, got {self.a}")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"a must be finite and > 0, got {self.a}")
 
     @property
     def dim(self) -> int:
@@ -393,19 +393,23 @@ def sampled_trotter_unitary(
     """Sampled runs of the jittered circuit, stacked as ``(runs, d, d)`` unitaries.
 
     Run ``r`` draws its ``(n, k)`` table from ``rngs[r]`` alone, into row ``r``
-    of one ``(runs, n, k)`` array, so the draws are held once.  Each gate runs for
-    ``t/n + a*delta`` on the unscaled generator (``exp(i a H_j (t/(a n) + delta))``
-    in simuland units), as ``W diag(exp(i theta E)) W^dag`` on the term set's eigensystems.
+    of one ``(runs, n, k)`` array, so the draws are held once, and turned into gate
+    angles in place.  Each gate runs for ``t/n + a*delta`` on the unscaled generator
+    (``exp(i a H_j (t/(a n) + delta))`` in simuland units).  As in :func:`trotter_ideal`,
+    gates are increments ``W diag(expm1(i theta E)) W^dag`` on the term set's
+    eigensystems, composed as ``x <- g + x + g x``, so unitarity does not drift with ``n k``.
     """
     deltas = np.empty((len(rngs), plan.n, len(plan.terms)))
     for run, rng in enumerate(rngs):
         deltas[run] = jitter_deltas(plan, sigma, rng)
-    u = np.eye(plan.dim, dtype=complex)  # the first gate broadcasts it over the runs
+    deltas *= plan.a
+    deltas += plan.tau
+    x = None
     for i in range(plan.n):
         for j, (evals, evecs) in enumerate(plan.terms.eighs):
-            phases = np.exp(1j * (plan.tau + plan.a * deltas[:, i, j])[:, None] * evals)
-            u = ((evecs * phases[:, None, :]) @ evecs.conj().T) @ u
-    return u
+            g = (evecs * np.expm1(1j * deltas[:, i, j, None] * evals)[:, None, :]) @ evecs.conj().T
+            x = g if x is None else g + x + g @ x
+    return np.eye(plan.dim) + x
 
 
 def faulty_trotter(

@@ -71,8 +71,8 @@ MAX_GRID_POINTS = 100_000
 # qubits the ideal product's is at most 1.3e-15 (t 0.1 and 1).
 MAX_STEPS = 500_000
 # montecarlo holds the (runs, n, k) table of jitter draws in full, at 8 bytes
-# a draw: a montecarlo at the limit (100 runs, n = 50,000, k = 2, an 80 MB
-# table) peaks at 116 MB resident.
+# a draw, and turns it into gate angles in place: a montecarlo at the limit
+# (100 runs, n = 50,000, k = 2, an 80 MB table) peaks at 115 MB resident.
 MAX_MONTECARLO_DRAWS = 10_000_000
 # A grid chunk's diamond SDPs are solved as one stack per Choi support, whose
 # Woodbury factors hold m^2 R complex entries per problem, at most d^6 on the
@@ -383,9 +383,9 @@ def _distances(faulty, ideal, metric: Metric, sdp_tol: float) -> list[tuple[floa
         d = round(np.sqrt(faulty.shape[-1]))
         return [
             (float(value), "ok")
-            if status == "Optimal"
-            else (float(np.fmin(min(2.0, d * j_distance(faulty[k], ideal[k])), primal)), status)
-            for k, (status, primal, value) in enumerate(zip(exc.status, exc.primal, exc.values))
+            if sol.status == "Optimal"
+            else (float(np.fmin(min(2.0, d * j_distance(ta, tb)), sol.primal)), sol.status)
+            for sol, value, ta, tb in zip(exc.solutions, exc.values, faulty, ideal)
         ]
 
 

@@ -187,29 +187,6 @@ def unitary_superop(u: np.ndarray) -> np.ndarray:
     return np.kron(u.conj(), u)
 
 
-def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Partial trace of a matrix on a bipartite space.
-
-    :param m: square matrix of size ``dims[0] * dims[1]``, or a stack of
-        them along the leading axes, traced matrix by matrix.
-    :param dims: dimensions ``(dA, dB)`` of the two tensor factors, with the
-        first factor on the left of the Kronecker product.
-    :param keep: ``0`` to trace out the second factor (keeping A), ``1`` to
-        trace out the first (keeping B).
-    :return: reduced matrix (or stack) of size ``dims[keep]``.
-    """
-    da, db = int(dims[0]), int(dims[1])
-    m = _as_square(m, "partial_trace argument", stacked=True)
-    if m.shape[-1] != da * db:
-        raise ValueError(f"matrix of size {m.shape[-1]} does not factor as {da} x {db}")
-    if keep not in (0, 1):
-        raise ValueError(f"keep must be 0 or 1, got {keep!r}")
-    t = m.reshape(m.shape[:-2] + (da, db, da, db))
-    if keep == 0:
-        return np.einsum("...ijkj->...ik", t)
-    return np.einsum("...ijil->...jl", t)
-
-
 def _reshuffle(t: np.ndarray) -> np.ndarray:
     """Involution-like index shuffle between supermatrix and (unnormalized)
     Choi, matrix by matrix on a stack along the leading axes."""

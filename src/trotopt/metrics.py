@@ -128,25 +128,21 @@ METRICS = {cls.name: cls for cls in (JDistance, Diamond, InducedTraceHeuristic)}
 
 
 class DiamondNormError(RuntimeError):
-    """Raised when the diamond-norm SDP fails to certify; carries the best
-    bounds.  For a stack of maps each field holds one entry per map, the maps
-    that certified included (status "Optimal"), and ``values`` holds the
-    value of each map that certified (NaN for the others)."""
+    """Raised when the diamond-norm SDP fails to certify a map.  ``solutions``
+    is the :class:`sdp.SdpStack` that :func:`sdp.solve` returned, one
+    solution per map with its status and best bounds, the maps that certified
+    included (status "Optimal"), and ``values`` holds the value of each map
+    that certified (NaN for the others)."""
 
-    def __init__(self, status, primal, dual, iterations, values=np.nan):
-        stacked = np.ndim(primal) > 0
-        fields = (np.atleast_1d(f) for f in (status, primal, dual, iterations))
+    def __init__(self, solutions: sdp.SdpStack, values: np.ndarray):
         failures = [
-            (f"map {k}: " if stacked else "")
-            + f"status={st}, best bounds [{lo:.6g}, {hi:.6g}] after {it} iterations"
-            for k, (st, hi, lo, it) in enumerate(zip(*fields))
-            if st != "Optimal"
+            f"map {k}: status={sol.status}, best bounds [{sol.dual:.6g}, {sol.primal:.6g}] "
+            f"after {sol.iterations} iterations"
+            for k, sol in enumerate(solutions)
+            if sol.status != "Optimal"
         ]
         super().__init__("diamond-norm SDP did not converge: " + "; ".join(failures))
-        self.status = status
-        self.primal = primal
-        self.dual = dual
-        self.iterations = iterations
+        self.solutions = solutions
         self.values = values
 
 
@@ -304,9 +300,8 @@ def diamond_norm_hp(phi: np.ndarray, tol: float = 1e-7, max_iter: int = sdp.DEFA
     single-variable SDP is exact only on such maps, so a map whose
     ``Tr_out J`` exceeds ``2 * TRACE_ATOL`` (what a difference of two channels
     within :data:`TRACE_ATOL` can carry) is rejected.  Raises
-    :class:`DiamondNormError` carrying the best primal/dual bounds if the
-    solver cannot certify a gap below ``tol``, for a stack if it cannot on
-    any of its maps.
+    :class:`DiamondNormError`, carrying every map's solution, if the solver
+    cannot certify a gap below ``tol`` on any of the maps.
     """
     d = _superop_dim(phi, "map", stacked=True)
     maps = np.asarray(phi)
@@ -322,11 +317,7 @@ def diamond_norm_hp(phi: np.ndarray, tol: float = 1e-7, max_iter: int = sdp.DEFA
     sols = sdp.solve(hermitize(j_u.reshape((-1,) + j_u.shape[-2:])), tol=tol, max_iter=max_iter)
     values = np.array([max(sol.primal, 0.0) if sol.status == "Optimal" else np.nan for sol in sols])
     if any(sol.status != "Optimal" for sol in sols):
-        names = ("status", "primal", "dual", "iterations")
-        fields = [tuple(getattr(sol, name) for sol in sols) for name in names]
-        if maps.ndim == 2:
-            raise DiamondNormError(*(field[0] for field in fields))
-        raise DiamondNormError(*fields, values)
+        raise DiamondNormError(sols, values)
     return float(values[0]) if maps.ndim == 2 else values
 
 

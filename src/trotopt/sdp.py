@@ -78,7 +78,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import blocks, hermitize, partial_trace
+from .linalg import blocks, hermitize
 
 SIGMA = 0.3
 BOUNDARY_FRACTION = 0.98
@@ -365,16 +365,13 @@ def _lift(sectors: _Sectors, y: np.ndarray) -> np.ndarray:
 
 def _tr_out(sectors: _Sectors, z: np.ndarray) -> np.ndarray:
     """``Tr_out`` of each matrix of a stack on the support, sector by sector,
-    as a block-diagonal matrix on the covered inputs."""
-    count, r = len(z), sectors.r
-    parts = []
-    for sectors_, outs, ins, row in sectors.runs:
-        hi = row + sectors_ * outs * ins
-        split = z[:, row:hi, row:hi].reshape(count, sectors_, outs * ins, sectors_, outs * ins)
-        z_k = split.diagonal(axis1=1, axis2=3).transpose(0, 3, 1, 2)
-        parts.append(partial_trace(z_k, (outs, ins), 1).reshape(count, sectors_ * ins * ins))
+    as a block-diagonal matrix on the covered inputs: the adjoint of
+    :func:`_lift` over the same maps, gathering at ``lift_to`` and adding onto
+    ``lift_from``, each entry's terms in output order."""
+    count, m, r = len(z), len(sectors.rows), sectors.r
     out = np.zeros((count, r * r), dtype=z.dtype)
-    out[:, sectors.cells] = np.concatenate(parts, axis=-1)
+    at = np.arange(count)[:, None] * r * r + sectors.lift_from
+    np.add.at(out.reshape(-1), at.ravel(), z.reshape(count, m * m)[:, sectors.lift_to].ravel())
     return out.reshape(count, r, r)
 
 

@@ -45,8 +45,9 @@ class TradeoffConstants:
 
     def __post_init__(self):
         for name in ("step_cost", "noise_cost", "floor"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {val}")
 
 
 def defect_strengths(
@@ -152,10 +153,10 @@ def noise_tradeoff(
     ``a``) always helps.
     """
     for name, val in zip(("commutator_strength", "jitter_strength", "t"), (*strengths, t)):
-        if val < 0.0:
-            raise ValueError(f"{name} must be >= 0, got {val}")
-    if a <= 0.0:
-        raise ValueError(f"a must be > 0, got {a}")
+        if not (math.isfinite(val) and val >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {val}")
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"a must be finite and > 0, got {a}")
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     return TradeoffConstants(*noise.costs(strengths, t, a, dim))

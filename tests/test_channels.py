@@ -195,6 +195,14 @@ class TestTrotterPlan:
         with pytest.raises(ValueError, match="a must"):
             TrotterPlan((SZ,), t=0.1, n=1, a=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_time_and_scale(self, bad):
+        # a NaN channel would otherwise fail late, in a metric's trace check
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            TrotterPlan((SZ,), t=bad, n=1)
+        with pytest.raises(ValueError, match="a must be finite and > 0"):
+            TrotterPlan((SZ,), t=0.1, n=1, a=bad)
+
     def test_terms_are_frozen_copies(self):
         h = SZ.copy()
         plan = TrotterPlan((h,), t=1.0, n=1)
@@ -388,19 +396,28 @@ class TestSampledJitter:
         alone = sampled_trotter_unitary(plan, 0.1, [np.random.default_rng(seeds[2])])
         np.testing.assert_array_equal(alone[0], forward[2])
 
+    def test_long_runs_stay_unitary(self):
+        # 40,000 gates at ising:4: a product of full gates drifts off
+        # unitarity linearly in n k, to 1.9e-11 here; increments stay at 2e-14
+        plan = TrotterPlan(ising_chain(4), t=0.1, n=20_000)
+        u = sampled_trotter_unitary(plan, 0.01, [np.random.default_rng(3)])[0]
+        assert np.abs(u.conj().T @ u - np.eye(16)).max() <= 1e-12
+
     @pytest.mark.parametrize("qubits", [1, 2, 4])
     def test_preallocated_table_gives_the_stacked_runs(self, qubits):
-        # oracle: the sampler as it was when it stacked a list of per-run
-        # tables, on the same term-set eigensystems; filling one preallocated
-        # table must not move a bit
+        # oracle: the increment sampler on a stacked list of per-run tables,
+        # with the angles computed gate by gate, on the same term-set
+        # eigensystems; filling one preallocated table and turning it into
+        # angles in place must not move a bit
         def stacked_sampler(plan, sigma, rngs):
             deltas = np.stack([jitter_deltas(plan, sigma, rng) for rng in rngs])
-            u = np.eye(plan.dim, dtype=complex)
+            x = np.zeros((len(rngs), plan.dim, plan.dim), dtype=complex)
             for i in range(plan.n):
                 for j, (evals, evecs) in enumerate(plan.terms.eighs):
-                    phases = np.exp(1j * (plan.tau + plan.a * deltas[:, i, j])[:, None] * evals)
-                    u = ((evecs * phases[:, None, :]) @ evecs.conj().T) @ u
-            return u
+                    angles = plan.tau + plan.a * deltas[:, i, j]
+                    g = (evecs * np.expm1(1j * angles[:, None] * evals)[:, None, :]) @ evecs.conj().T
+                    x = g + x + g @ x
+            return np.eye(plan.dim) + x
 
         terms = (SZ, SX) if qubits == 1 else ising_chain(qubits)
         for n, a in ((1, 1.0), (16, 2.5)):
@@ -522,8 +539,9 @@ class TestFaultyTrotter:
         j = linalg.choi_from_super(t) / d
         np.testing.assert_allclose(j, j.conj().T, atol=1e-9)
         assert np.linalg.eigvalsh(j).min() >= -1e-9
+        # trace-preserving: tracing out the output factor leaves I/d
         np.testing.assert_allclose(
-            linalg.partial_trace(j, (d, d), 1), np.eye(d) / d, atol=1e-9
+            np.einsum("aiaj->ij", j.reshape(d, d, d, d)), np.eye(d) / d, atol=1e-9
         )
 
     def test_averaging_improves_over_mean_run(self):
@@ -768,7 +786,7 @@ class TestRescaling:
 
     def test_rejects_nonpositive(self):
         for a in (0.0, -2.0):
-            with pytest.raises(ValueError, match="a must be > 0"):
+            with pytest.raises(ValueError, match="a must be finite and > 0"):
                 qubit_plan(a=a)
 
     def test_depol_invariant_under_rescaling(self):

@@ -337,53 +337,6 @@ class TestHermitianBasis:
         np.testing.assert_allclose(linalg.from_hermitian_basis(want), s, rtol=0, atol=1e-14)
 
 
-class TestPartialTrace:
-    def test_product_state(self):
-        rng = np.random.default_rng(31)
-        a = random_hermitian(rng, 2)
-        b = random_hermitian(rng, 3)
-        m = np.kron(a, b)
-        np.testing.assert_allclose(linalg.partial_trace(m, (2, 3), 0), a * np.trace(b), atol=1e-12)
-        np.testing.assert_allclose(linalg.partial_trace(m, (2, 3), 1), b * np.trace(a), atol=1e-12)
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(32)
-        da, db = 3, 4
-        m = random_complex(rng, da * db)
-        keep_a = np.zeros((da, da), dtype=complex)
-        keep_b = np.zeros((db, db), dtype=complex)
-        for i in range(da):
-            for k in range(da):
-                for j in range(db):
-                    keep_a[i, k] += m[i * db + j, k * db + j]
-        for j in range(db):
-            for l in range(db):
-                for i in range(da):
-                    keep_b[j, l] += m[i * db + j, i * db + l]
-        np.testing.assert_allclose(linalg.partial_trace(m, (da, db), 0), keep_a, atol=1e-12)
-        np.testing.assert_allclose(linalg.partial_trace(m, (da, db), 1), keep_b, atol=1e-12)
-
-    def test_trace_is_preserved(self):
-        rng = np.random.default_rng(33)
-        m = random_complex(rng, 6)
-        for keep in (0, 1):
-            red = linalg.partial_trace(m, (2, 3), keep)
-            assert np.trace(red) == pytest.approx(np.trace(m), abs=1e-12)
-
-    def test_stack_is_traced_matrix_by_matrix(self):
-        rng = np.random.default_rng(34)
-        stack = np.array([random_complex(rng, 6) for _ in range(3)])
-        for keep in (0, 1):
-            got = linalg.partial_trace(stack, (2, 3), keep)
-            assert np.array_equal(got, [linalg.partial_trace(m, (2, 3), keep) for m in stack])
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError, match="factor"):
-            linalg.partial_trace(np.eye(5), (2, 3), 0)
-        with pytest.raises(ValueError, match="keep"):
-            linalg.partial_trace(np.eye(6), (2, 3), 2)
-
-
 class TestSuperop:
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_unitary_superop_action(self, d):
@@ -445,7 +398,7 @@ class TestChoi:
         np.testing.assert_allclose(j, j.conj().T, atol=1e-12)
         # trace-preserving: reduced state on the input factor is I/d
         np.testing.assert_allclose(
-            linalg.partial_trace(j, (d, d), 1), np.eye(d) / d, atol=1e-10
+            np.einsum("aiaj->ij", j.reshape(d, d, d, d)), np.eye(d) / d, atol=1e-10
         )
         # a unitary channel gives a rank-one (pure) Choi state
         evals = np.linalg.eigvalsh(j)

@@ -389,11 +389,12 @@ class TestDiamondSdp:
         phi = random_channel(rng, 2) - random_channel(rng, 2)
         with pytest.raises(DiamondNormError) as exc:
             diamond_norm_hp(phi, tol=1e-13, max_iter=3)
-        err = exc.value
-        assert err.status == "IterationCap"
-        assert err.iterations == 3
-        assert np.isfinite(err.primal)
-        assert err.dual <= err.primal
+        (sol,) = exc.value.solutions
+        assert sol.status == "IterationCap"
+        assert sol.iterations == 3
+        assert np.isfinite(sol.primal)
+        assert sol.dual <= sol.primal
+        assert str(exc.value).startswith("diamond-norm SDP did not converge: map 0: status=IterationCap")
 
     def test_rejects_map_that_does_not_annihilate_trace(self):
         # the single-variable SDP would report 6.0 here, not the true 3.0
@@ -689,8 +690,7 @@ class TestStackedMetrics:
         with pytest.raises(DiamondNormError) as exc:
             diamond_norm_hp(maps[:2], tol=1e-13, max_iter=3)
         err = exc.value
-        assert err.status == ("IterationCap", "IterationCap")
-        assert err.iterations == (3, 3)
+        assert [(sol.status, sol.iterations) for sol in err.solutions] == [("IterationCap", 3)] * 2
         assert np.all(np.isnan(err.values))
         assert "map 0: status=IterationCap" in str(err) and "map 1:" in str(err)
         # capped at the iterations the faster of two maps needs, that map
@@ -701,7 +701,7 @@ class TestStackedMetrics:
         with pytest.raises(DiamondNormError) as exc:
             diamond_norm_hp(pair, tol=1e-7, max_iter=needs[1])
         err = exc.value
-        assert err.status == ("IterationCap", "Optimal")
+        assert [sol.status for sol in err.solutions] == ["IterationCap", "Optimal"]
         assert np.isnan(err.values[0])
         assert err.values[1] == diamond_norm_hp(pair[1], tol=1e-7)
         assert "map 0: status=IterationCap" in str(err) and "map 1" not in str(err)

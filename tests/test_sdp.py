@@ -601,3 +601,47 @@ class TestSupport:
             reduced, whole = sdp.solve(j, tol), sdp.solve(turned, tol)
             assert (reduced.status, whole.status) == ("Optimal", "Optimal")
             assert abs(reduced.primal - whole.primal) <= tol
+
+
+def tr_out_oracle(sectors, z):
+    """``Tr_out`` of each matrix of a stack on the rows of ``sectors``, by a
+    plain loop over the sectors, each entry's terms added in output order."""
+    m, r = len(sectors.rows), sectors.r
+    out = np.zeros((len(z), r, r), dtype=z.dtype)
+    row = col = 0
+    for count, outs, ins, _ in sectors.runs:
+        for _ in range(count):
+            block = z[:, row : row + outs * ins, row : row + outs * ins].reshape(-1, outs, ins, outs, ins)
+            out[:, col : col + ins, col : col + ins] = sum(block[:, a, :, a, :] for a in range(outs))
+            row, col = row + outs * ins, col + ins
+    assert (row, col) == (m, r)
+    return out
+
+
+class TestTrOut:
+    LAYOUTS = {
+        "ising:2": lambda: support(trotter_difference_choi("ising:2")),
+        "ising:3": lambda: support(trotter_difference_choi("ising:3")),
+        "unequal": lambda: sdp._sectors(UNEQUAL),
+        "full": lambda: full(3),
+        "zero-map": lambda: sdp._sectors(np.zeros(9, dtype=bool)),
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_adjoint_of_lift_and_loop_oracle(self, layout):
+        rng = np.random.default_rng(53)
+        sectors = self.LAYOUTS[layout]()
+        m, r = len(sectors.rows), sectors.r
+        for count in (0, 1, 4):
+            shape = (count, m, m)
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            y = rng.standard_normal((count, r, r)) + 1j * rng.standard_normal((count, r, r))
+            y = np.where(sectors.mask, y, 0.0)
+            reduced = sdp._tr_out(sectors, z)
+            assert reduced.shape == (count, r, r)
+            assert np.array_equal(reduced, tr_out_oracle(sectors, z))
+            # exactly block-diagonal over the sectors
+            assert not np.any(reduced[:, ~sectors.mask])
+            lhs = sdp._dot(sdp._lift(sectors, y), z)
+            rhs = sdp._dot(y, reduced)
+            np.testing.assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-13)

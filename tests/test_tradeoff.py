@@ -198,9 +198,9 @@ class TestJitterCosts:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="sigma"):
             jitter_costs(1.0, 1.0, 1.0, -0.1)
-        with pytest.raises(ValueError, match="jitter_strength must be >= 0"):
+        with pytest.raises(ValueError, match="jitter_strength must be finite and >= 0"):
             jitter_costs(1.0, -1.0, 1.0, 0.1)
-        with pytest.raises(ValueError, match="t must be >= 0"):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
             jitter_costs(1.0, 1.0, -1.0, 0.1)
 
 
@@ -285,7 +285,7 @@ class TestDepolarizing:
     def test_rejects_rate_outside_unit_interval(self):
         with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
             depolarizing_costs(1.0, 1.2, 1.0, 2)
-        with pytest.raises(ValueError, match="commutator_strength must be >= 0"):
+        with pytest.raises(ValueError, match="commutator_strength must be finite and >= 0"):
             depolarizing_costs(-1.0, 0.1, 1.0, 2)
         with pytest.raises(ValueError, match="dim must be >= 2"):
             depolarizing_costs(1.0, 0.1, 1.0, 1)
@@ -339,6 +339,21 @@ class TestNoiseTradeoff:
         # a model the bound cannot dispatch never reaches it: the config refuses it
         with pytest.raises(ConfigError, match="unknown noise model 'thermal'"):
             ExperimentConfig(terms=tuple(ising_chain(2)), label="ising:2", noise="thermal")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_inputs(self, bad):
+        noise = AveragedTimingJitter(0.01)
+        for name, (strengths, t, a) in (
+            ("commutator_strength", ((bad, 1.0), 0.1, 1.0)),
+            ("jitter_strength", ((1.0, bad), 0.1, 1.0)),
+            ("t", ((1.0, 1.0), bad, 1.0)),
+            ("a", ((1.0, 1.0), 0.1, bad)),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+                noise_tradeoff(noise, strengths, t, a, 2)
+        for name in ("step_cost", "noise_cost", "floor"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+                TradeoffConstants(**{"step_cost": 1.0, "noise_cost": 1.0, name: bad})
 
 
 class TestDecoherenceBound:
