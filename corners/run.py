@@ -5,13 +5,14 @@
 Configs that pass every config-time check have failed late, after minutes
 of work, at the limits below: the trace check at ``MAX_STEPS`` on dense
 terms, and the unitarity check at ``MAX_MONTECARLO_DRAWS``.  Each corner is
-one command on one config at such a limit, with the limit's value read from
-the package under test.  The corners run one at a time, each as its own child
-process with one BLAS thread, an address-space limit (``RLIMIT_AS``) of
-``LIMIT_MB`` and a wall-time cap of ``TIMEOUT_S``.  A corner passes when its
-command exits 0, or when it exits 2, a refusal at config time, within
-``REFUSAL_S`` seconds.  It fails on any other exit, on a traceback in its
-standard error and on the time cap.
+one command on one config at such a limit, or at one that has not failed yet
+(``MAX_GRID_POINTS``; the see-saw and the J trace norm at 4 qubits), with the
+limit's value read from the package under test.  The corners run one at a
+time, each as its own child process with one BLAS thread, an address-space
+limit (``RLIMIT_AS``) of ``LIMIT_MB`` and a wall-time cap of ``TIMEOUT_S``.
+A corner passes when its command exits 0, or when it exits 2, a refusal at
+config time, within ``REFUSAL_S`` seconds.  It fails on any other exit, on a
+traceback in its standard error and on the time cap.
 
 One line per corner goes to standard output: the verdict, the exit code, the
 seconds, the peak resident set and the last line of standard error.  The
@@ -50,19 +51,22 @@ TWENTY4 = (
 @dataclass(frozen=True)
 class Corner:
     name: str
-    command: str  # sweep | montecarlo
+    command: str  # sweep | montecarlo | optimum
     hamiltonian: str
     terms: int
     noise: str
     metrics: str = "j"
     t: float = 0.1
+    grid: str = "1,{MAX_STEPS}"
+    args: tuple[str, ...] = ()
 
-    def config(self, max_steps: int, max_draws: int) -> str:
-        """The config at the corner: a sweep reaches ``MAX_STEPS``, and a
-        Monte-Carlo run draws ``runs * n * k = MAX_MONTECARLO_DRAWS`` values
-        with ``n <= MAX_STEPS``."""
-        grid, runs = f"1,{max_steps}", 1
+    def config(self, limits: dict[str, int]) -> str:
+        """The config at the corner: the grid spec with the limits filled in
+        (by default it reaches ``MAX_STEPS``), and for a Monte-Carlo run
+        ``runs * n * k = MAX_MONTECARLO_DRAWS`` draws with ``n <= MAX_STEPS``."""
+        grid, runs = self.grid.format(**limits), 1
         if self.command == "montecarlo":
+            max_steps, max_draws = limits["MAX_STEPS"], limits["MAX_MONTECARLO_DRAWS"]
             runs = max(1, max_draws // (max_steps * self.terms))
             grid = str(max_draws // (runs * self.terms))
         return (
@@ -71,6 +75,7 @@ class Corner:
         )
 
 
+LIMITS = ("MAX_STEPS", "MAX_MONTECARLO_DRAWS", "MAX_GRID_POINTS")
 CORNERS = (
     # the ideal product that both depolarizing models build on drifted past
     # the trace check here until it was powered as increments
@@ -78,6 +83,13 @@ CORNERS = (
     Corner("steps-decoherence-dense4", "sweep", DENSE4, 2, "decoherence:0.01"),
     Corner("steps-avg-jitter-ising4", "sweep", "ising:4", 2, "avg-jitter:0.01"),
     Corner("steps-diamond-ising3", "sweep", "ising:3", 2, "avg-jitter:0.01", "j,diamond"),
+    # the see-saw and the J trace norm at their largest size, d = 16
+    Corner("steps-heuristic-ising4", "sweep", "ising:4", 2, "avg-jitter:0.01", "j,heuristic"),
+    Corner("steps-optimum-dmax-ising4", "optimum", "ising:4", 2, "avg-jitter:0.01",
+           grid="log:1:{MAX_STEPS}:24", args=("--dmax", "0.1")),
+    # every admitted grid point, at one qubit so that the count dominates
+    Corner("grid-points-1q", "sweep", "1 | x | z", 2, "avg-jitter:0.01",
+           grid="range:1:{MAX_GRID_POINTS}"),
     # sampled runs drifted off unitarity linearly in n k until their gates
     # were carried as increments; the twenty-term run exited 2 after minutes
     Corner("draws-ising4-k2", "montecarlo", "ising:4", 2, "jitter:0.01"),
@@ -90,10 +102,11 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (size, size))
 
 
-def run_corner(corner: Corner, env: dict, limits: tuple[int, int], scratch: Path) -> bool:
+def run_corner(corner: Corner, env: dict, limits: dict[str, int], scratch: Path) -> bool:
     config = scratch / f"{corner.name}.cfg"
-    config.write_text(corner.config(*limits), encoding="utf-8")
+    config.write_text(corner.config(limits), encoding="utf-8")
     argv = [sys.executable, "-m", "trotopt.cli", corner.command, "--config", str(config)]
+    argv += corner.args
     argv += ["--out", str(scratch / f"{corner.name}.out")]
     with open(scratch / f"{corner.name}.err", "w+b") as err:
         start = time.perf_counter()
@@ -136,9 +149,9 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    query = "from trotopt import experiments as e; print(e.MAX_STEPS, e.MAX_MONTECARLO_DRAWS)"
-    steps, draws = subprocess.check_output([sys.executable, "-c", query], env=env).split()
-    limits = (int(steps), int(draws))
+    query = f"from trotopt import experiments as e; print({', '.join('e.' + n for n in LIMITS)})"
+    values = subprocess.check_output([sys.executable, "-c", query], env=env).split()
+    limits = dict(zip(LIMITS, map(int, values)))
     start = time.perf_counter()
     failed = 0
     with tempfile.TemporaryDirectory(prefix="corners-") as scratch:

@@ -378,13 +378,18 @@ def trotter_ideal(plan: TrotterPlan) -> np.ndarray:
     return unitary_superop(np.eye(plan.dim) + _power_increment(step, plan.n))
 
 
-def jitter_deltas(plan: TrotterPlan, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw the ``(n, k)`` table of per-gate duration errors for one circuit run.
+def jitter_deltas(
+    plan: TrotterPlan, sigma: float, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Draw the ``(n, k)`` table of per-gate duration errors for one circuit run,
+    into ``out`` if given; the values are those of ``rng.normal(0, sigma, (n, k))``.
 
     This single call is the package-wide contract for the draw order: steps
     vary along axis 0, terms along axis 1, filled in row-major order.
     """
-    return rng.normal(0.0, sigma, size=(plan.n, len(plan.terms)))
+    deltas = rng.standard_normal((plan.n, len(plan.terms)), out=out)
+    deltas *= sigma
+    return deltas
 
 
 def sampled_trotter_unitary(
@@ -392,16 +397,16 @@ def sampled_trotter_unitary(
 ) -> np.ndarray:
     """Sampled runs of the jittered circuit, stacked as ``(runs, d, d)`` unitaries.
 
-    Run ``r`` draws its ``(n, k)`` table from ``rngs[r]`` alone, into row ``r``
-    of one ``(runs, n, k)`` array, so the draws are held once, and turned into gate
-    angles in place.  Each gate runs for ``t/n + a*delta`` on the unscaled generator
+    Run ``r`` draws its ``(n, k)`` table from ``rngs[r]`` alone, in place into row
+    ``r`` of one ``(runs, n, k)`` array, so the draws are held once, and turned into
+    gate angles in place.  Each gate runs for ``t/n + a*delta`` on the unscaled generator
     (``exp(i a H_j (t/(a n) + delta))`` in simuland units).  As in :func:`trotter_ideal`,
     gates are increments ``W diag(expm1(i theta E)) W^dag`` on the term set's
     eigensystems, composed as ``x <- g + x + g x``, so unitarity does not drift with ``n k``.
     """
     deltas = np.empty((len(rngs), plan.n, len(plan.terms)))
-    for run, rng in enumerate(rngs):
-        deltas[run] = jitter_deltas(plan, sigma, rng)
+    for run, rng in zip(deltas, rngs):
+        jitter_deltas(plan, sigma, rng, out=run)
     deltas *= plan.a
     deltas += plan.tau
     x = None

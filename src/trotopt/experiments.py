@@ -60,7 +60,7 @@ from .tradeoff import (
 SWEEP_HEADER = ("n", "metric", "exact_distance", "bound", "benchmark", "status")
 MONTECARLO_HEADER = ("run_id", "n", "metric", "value")
 # A grid spec is counted before any array is built, so a typo cannot ask for
-# gigabytes.
+# gigabytes.  Corner grid-points-1q (corners/run.py) sweeps every point.
 MAX_GRID_POINTS = 100_000
 # The ideal Trotter product (the depol and decoherence channels' base) and the
 # averaged-jitter channel are powered as increments over the identity, so their
@@ -68,11 +68,12 @@ MAX_GRID_POINTS = 100_000
 # drift with n.  At n = MAX_STEPS on Ising chains of 2 to 4 qubits the ideal
 # product's is at most 7.5e-14 (t 0.01 to 100) and the averaged channel's
 # 5.5e-13 (sigma 0.01 and 0.05, t 0.1 and 1); on random dense terms of 1 to 4
-# qubits the ideal product's is at most 1.3e-15 (t 0.1 and 1).
+# qubits the ideal product's is at most 1.3e-15 (t 0.1 and 1).  Corners steps-*
+# run each noise model, diamond, heuristic and optimum --dmax at the limit.
 MAX_STEPS = 500_000
-# montecarlo holds the (runs, n, k) table of jitter draws in full, at 8 bytes
-# a draw, and turns it into gate angles in place: a montecarlo at the limit
-# (100 runs, n = 50,000, k = 2, an 80 MB table) peaks at 115 MB resident.
+# montecarlo draws each run into its row of one (runs, n, k) jitter table, at
+# 8 bytes a draw, and turns it into gate angles in place: at the limit (80 MB)
+# it peaks at 114-115 MB resident at k = 2, 156 MB at k = 20 (corners draws-*).
 MAX_MONTECARLO_DRAWS = 10_000_000
 # A grid chunk's diamond SDPs are solved as one stack per Choi support, whose
 # Woodbury factors hold m^2 R complex entries per problem, at most d^6 on the

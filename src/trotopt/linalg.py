@@ -30,7 +30,8 @@ call per block size.  Only entries that are exactly 0.0 separate blocks, with
 no tolerance, so a blockwise value is the value of the same matrix; a matrix
 with no exact zeros is one block and takes the dense path.  Eigenvectors sit
 at their block's own indices, so the zeros survive the products and powers
-built from them.
+built from them.  :func:`trace_norm` first drops the indices whose row and
+column are exactly zero, so its check and its split run on the support alone.
 """
 
 from __future__ import annotations
@@ -147,11 +148,18 @@ def hermitian_exp(h: np.ndarray, theta: float) -> np.ndarray:
 def trace_norm(m: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix: the sum of ``|eigvalsh|`` of its
     Hermitian part, taken block by block, one stacked call per block size.
+    Indices whose row and column are exactly zero are dropped first; each
+    would add only a zero eigenvalue and a zero deviation.
 
     Raises ``ValueError`` for a matrix farther than
     ``TRACE_NORM_HERMITIAN_ATOL`` from Hermitian in max-abs entry.
     """
     m = _as_square(m, "trace_norm argument")
+    linked = m != 0
+    keep = np.flatnonzero(linked.any(axis=0) | linked.any(axis=1))
+    if not keep.size:
+        return 0.0
+    m = m[keep[:, None], keep]
     # one adjoint serves the check and the Hermitian part
     m_adj = m.conj().T
     _check_hermitian(m, m_adj, "trace_norm argument", TRACE_NORM_HERMITIAN_ATOL)
@@ -187,9 +195,14 @@ def unitary_superop(u: np.ndarray) -> np.ndarray:
     return np.kron(u.conj(), u)
 
 
-def _reshuffle(t: np.ndarray) -> np.ndarray:
-    """Involution-like index shuffle between supermatrix and (unnormalized)
-    Choi, matrix by matrix on a stack along the leading axes."""
+def choi_from_super(t: np.ndarray) -> np.ndarray:
+    """Unnormalized Choi matrix ``sum_ij E(|i><j|) (x) |i><j|`` of a
+    supermatrix, or of each supermatrix of a stack: an index shuffle, matrix
+    by matrix along the leading axes.
+
+    The output lives on output (x) input; a trace-preserving map gives trace
+    ``d``, and dividing by ``d`` gives its Choi state.
+    """
     t = _as_square(t, "superoperator", stacked=True)
     d = int(round(np.sqrt(t.shape[-1])))
     if d * d != t.shape[-1]:
@@ -199,25 +212,6 @@ def _reshuffle(t: np.ndarray) -> np.ndarray:
         *range(lead), lead + 1, lead + 3, lead, lead + 2
     )
     return shuffled.reshape(t.shape)
-
-
-def choi_from_super(t: np.ndarray) -> np.ndarray:
-    """Unnormalized Choi matrix ``sum_ij E(|i><j|) (x) |i><j|`` of a
-    supermatrix, or of each supermatrix of a stack.
-
-    The output lives on output (x) input; a trace-preserving map gives trace
-    ``d``, and dividing by ``d`` gives its Choi state.
-    """
-    return _reshuffle(t)
-
-
-def choi_to_super(j: np.ndarray) -> np.ndarray:
-    """Supermatrix of a normalized Choi state ``choi_from_super(t) / d``."""
-    j = _as_square(j, "choi matrix")
-    d = int(round(np.sqrt(j.shape[0])))
-    if d * d != j.shape[0]:
-        raise ValueError(f"choi matrix of size {j.shape[0]} is not d^2 x d^2")
-    return (j * d).reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
 def hermitian_basis_rows(t: np.ndarray, inverse: bool = False) -> np.ndarray:

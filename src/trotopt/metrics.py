@@ -284,8 +284,8 @@ def diamond_distance_unitary(u: np.ndarray, v: np.ndarray):
 # difference and jitter defect map (m = R = 128) certify in 41 and 45
 # iterations, 13 s and 15 s, 210 MB peak.  A full support there (m = R = 256)
 # costs about 3 s an iteration and 1.1 GB peak: a random unitary difference
-# took 20 iterations and 55 s.  So a 4-qubit point without sectors would take
-# a minute, and the diamond metric stops at three qubits.
+# took 20 iterations and 55 s.  Without sectors a 4-qubit point would take a
+# minute, so diamond stops at three qubits (corner steps-diamond-ising3).
 DIAMOND_MAX_DIM = 8
 
 

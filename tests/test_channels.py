@@ -435,6 +435,19 @@ class TestSampledJitter:
         assert abs(draws.mean()) <= 4.0 * sigma / np.sqrt(draws.size)
         assert draws.var(ddof=1) == pytest.approx(sigma**2, rel=0.05)
 
+    def test_draws_are_those_of_normal(self):
+        # seeded outputs rest on these values, also when drawn into a row of
+        # the table; at sigma 0 they are -0.0 where normal gives 0.0
+        plan = TrotterPlan((SZ, SX), t=1.0, n=7)
+        for sigma in (0.0, 0.01, 3.7):
+            want = np.random.default_rng(5).normal(0.0, sigma, (7, 2))
+            assert np.array_equal(jitter_deltas(plan, sigma, np.random.default_rng(5)), want)
+            table = np.full((3, 7, 2), np.nan)
+            got = jitter_deltas(plan, sigma, np.random.default_rng(5), out=table[1])
+            assert np.shares_memory(got, table[1])
+            assert np.array_equal(table[1], want)
+            assert np.isnan(table[[0, 2]]).all()
+
 
 class TestIdealAndTrotter:
     def test_zero_time_identity(self):

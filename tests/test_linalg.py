@@ -10,6 +10,8 @@ import pytest
 from scipy.linalg import expm
 
 from trotopt import linalg
+from trotopt.channels import AveragedTimingJitter, TrotterPlan, faulty_trotter, ideal_map
+from trotopt.hamiltonians import ising_chain
 
 
 def random_complex(rng, d):
@@ -45,6 +47,13 @@ def permuted_block_matrix(rng, sizes, hermitian=False):
 def choi_state(t):
     """Normalized Choi state: the reshuffle divided by ``d``."""
     return linalg.choi_from_super(t) / round(np.sqrt(t.shape[0]))
+
+
+def choi_to_super(j):
+    """Round-trip reference: the supermatrix of a normalized Choi state
+    ``choi_from_super(t) / d``, by its own index shuffle."""
+    d = int(round(np.sqrt(j.shape[0])))
+    return (j * d).reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
 def choi_by_definition(t):
@@ -268,7 +277,6 @@ class TestTraceNorm:
         with pytest.raises(ValueError, match="not Hermitian"):
             linalg.trace_norm(random_complex(rng, 3))
 
-
     def test_one_adjoint_for_check_and_hermitian_part(self):
         # the value is that of the Hermitian part, bit for bit, and the check
         # names the argument and the deviation
@@ -284,6 +292,62 @@ class TestTraceNorm:
         message = r"trace_norm argument is not Hermitian: max \|M - M\^dag\| = "
         with pytest.raises(ValueError, match=message):
             linalg.trace_norm(h + 1e-6j * np.eye(8))
+
+    def test_zero_rows_and_columns_are_dropped(self):
+        # exact-zero indices mixed in among permuted blocks leave the value
+        # of the dense eigenvalue sum
+        rng = np.random.default_rng(26)
+        for sizes, zeros in (([3, 1, 4, 2], 5), ([8], 8), ([1] * 6, 1), ([2, 2, 5], 12)):
+            block, _ = permuted_block_matrix(rng, sizes, hermitian=True)
+            d = sum(sizes) + zeros
+            at = np.sort(rng.choice(d, sum(sizes), replace=False))
+            h = np.zeros((d, d), dtype=complex)
+            h[np.ix_(at, at)] = block
+            want = float(np.abs(np.linalg.eigvalsh(h)).sum())
+            assert linalg.trace_norm(h) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("qubits", [2, 3, 4])
+    def test_choi_differences_match_the_full_matrix_formula(self, qubits):
+        # oracle: the check, the Hermitian part and the blockwise eigenvalues
+        # on the whole matrix, zero rows included; half of the rows of these
+        # Choi differences are exactly zero
+        def full_matrix(m):
+            part = 0.5 * (m + m.conj().T)
+            evals = [
+                np.linalg.eigvalsh(part[i[:, :, None], i[:, None, :]]).ravel()
+                for i in linalg.block_stacks(part)
+            ]
+            return float(np.sum(np.abs(np.concatenate(evals))))
+
+        for n in (1, 3, 16, 100):
+            plan = TrotterPlan(ising_chain(qubits), t=0.1, n=n)
+            diff = faulty_trotter(plan, AveragedTimingJitter(0.01)) - ideal_map(plan)
+            j = linalg.choi_from_super(diff)
+            assert not (j != 0).any(axis=1).all()
+            assert linalg.trace_norm(j) == full_matrix(j)
+
+    def test_zero_and_empty_matrices_give_zero(self):
+        for m in (np.zeros((3, 3)), np.zeros((5, 5), dtype=complex), np.zeros((0, 0))):
+            assert linalg.trace_norm(m) == 0.0
+
+    def test_lone_entry_fails_the_check(self):
+        # the entry's row and its mirror's column stay in the support
+        m = np.zeros((5, 5), dtype=complex)
+        m[1, 3] = 1e-7
+        message = (
+            r"trace_norm argument is not Hermitian: max \|M - M\^dag\| = 1\.000e-07 > 1\.0e-08"
+        )
+        with pytest.raises(ValueError, match=message):
+            linalg.trace_norm(m)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("at", [(2, 2), (0, 3)])
+    def test_non_finite_entry_in_a_zero_row_fails_the_check(self, value, at):
+        m = np.zeros((4, 4), dtype=complex)
+        m[at] = value
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.trace_norm(m)
 
 
 def hermitian_basis_element(d, p):
@@ -385,9 +449,9 @@ class TestChoi:
     def test_roundtrip(self, d):
         rng = np.random.default_rng(60 + d)
         t = random_complex(rng, d * d)
-        np.testing.assert_allclose(linalg.choi_to_super(choi_state(t)), t, atol=1e-12)
+        np.testing.assert_allclose(choi_to_super(choi_state(t)), t, atol=1e-12)
         j = random_hermitian(rng, d * d)
-        np.testing.assert_allclose(choi_state(linalg.choi_to_super(j)), j, atol=1e-12)
+        np.testing.assert_allclose(choi_state(choi_to_super(j)), j, atol=1e-12)
 
     def test_unitary_channel_choi_properties(self):
         rng = np.random.default_rng(70)

@@ -22,7 +22,7 @@ from trotopt.channels import (
     ideal_map,
     jitter_defect_map,
 )
-from trotopt.hamiltonians import ising_chain
+from trotopt.hamiltonians import ising_chain, terms_from_text
 from trotopt.linalg import choi_from_super, hermitize, trace_norm, unitary_superop, unvec, vec
 from trotopt.metrics import (
     METRICS,
@@ -395,6 +395,32 @@ class TestDiamondSdp:
         assert np.isfinite(sol.primal)
         assert sol.dual <= sol.primal
         assert str(exc.value).startswith("diamond-norm SDP did not converge: map 0: status=IterationCap")
+
+    def test_commutator_map_is_the_eigenvalue_spread(self):
+        # the map is X -> i[K, X] with K = -i sum_{j<l} [H_j, H_l], whose
+        # diamond norm is lambda_max(K) - lambda_min(K)
+        rng = np.random.default_rng(64)
+        groups = [
+            " ; ".join(
+                f"{rng.uniform(-1.5, 1.5):.3f} {''.join(rng.choice(list('.xyz'), 2))}" for _ in range(3)
+            )
+            for _ in range(3)
+        ]
+        cases = (
+            ising_chain(2),
+            ising_chain(3),
+            terms_from_text("3 | xx. ; .xx | yy. ; .yy"),
+            terms_from_text("2 | " + " | ".join(groups)),
+        )
+        tol = 1e-7
+        for terms in cases:
+            c = sum(a @ b - b @ a for j, a in enumerate(terms) for b in terms[j + 1 :])
+            evals = np.linalg.eigvalsh(-1j * c)
+            spread = evals[-1] - evals[0]
+            assert spread > 1.0
+            assert diamond_norm_hp(commutator_defect_map(terms), tol=tol) == pytest.approx(
+                spread, abs=tol
+            )
 
     def test_rejects_map_that_does_not_annihilate_trace(self):
         # the single-variable SDP would report 6.0 here, not the true 3.0

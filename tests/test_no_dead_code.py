@@ -13,10 +13,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "trotopt"
 
-# Kept without a caller: the tests use it as an independent round-trip
-# reference for the Choi reshuffle.
-REFERENCE_ONLY = {"choi_to_super"}
-
 
 def _public_names(tree: ast.Module) -> list[str]:
     names = []
@@ -58,6 +54,6 @@ def test_every_public_name_has_a_caller():
         f"{path.stem}.{name}"
         for path, tree in trees.items()
         for name in _public_names(tree)
-        if name not in used and name not in REFERENCE_ONLY
+        if name not in used
     ]
     assert not unused, f"public names without a caller: {unused}"
