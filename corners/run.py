@@ -82,6 +82,9 @@ CORNERS = (
     Corner("steps-depol-dense4", "sweep", DENSE4, 2, "depol:1e-9"),
     Corner("steps-decoherence-dense4", "sweep", DENSE4, 2, "decoherence:0.01"),
     Corner("steps-avg-jitter-ising4", "sweep", "ising:4", 2, "avg-jitter:0.01"),
+    Corner("steps-avg-jitter-dense4", "sweep", DENSE4, 2, "avg-jitter:0.01"),
+    Corner("steps-depol-ising4", "sweep", "ising:4", 2, "depol:1e-9"),
+    Corner("steps-decoherence-ising4", "sweep", "ising:4", 2, "decoherence:0.01"),
     Corner("steps-diamond-ising3", "sweep", "ising:3", 2, "avg-jitter:0.01", "j,diamond"),
     # the see-saw and the J trace norm at their largest size, d = 16
     Corner("steps-heuristic-ising4", "sweep", "ising:4", 2, "avg-jitter:0.01", "j,heuristic"),

@@ -64,10 +64,10 @@ def _check_hermitian(m: np.ndarray, m_adj: np.ndarray, name: str, atol: float):
         raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} > {atol:.1e}")
 
 
-def require_hermitian(m: np.ndarray, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return ``m`` as an ndarray, raising ``ValueError`` if it is not Hermitian."""
     m = _as_square(m, name)
-    _check_hermitian(m, m.conj().T, name, atol)
+    _check_hermitian(m, m.conj().T, name, HERMITIAN_ATOL)
     return m
 
 

@@ -306,7 +306,7 @@ def diamond_norm_hp(phi: np.ndarray, tol: float = 1e-7, max_iter: int = sdp.DEFA
     d = _superop_dim(phi, "map", stacked=True)
     maps = np.asarray(phi)
     j_u = choi_from_super(maps)
-    if float(np.abs(j_u - j_u.conj().swapaxes(-1, -2)).max(initial=0.0)) > 1e-10:
+    if float(np.abs(j_u - j_u.conj().swapaxes(-1, -2)).max(initial=0.0)) > sdp.CHOI_HERMITIAN_ATOL:
         raise ValueError("map is not Hermiticity-preserving (Choi matrix not Hermitian)")
     residual = _trace_residual(maps, d, 0.0)
     if not residual <= 2.0 * TRACE_ATOL:

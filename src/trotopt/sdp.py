@@ -60,13 +60,15 @@ on the full space, against O(m^6) and O(m^4) for a dense LU of the
 ``(m^2 + 1)``-square system.
 
 :func:`solve` takes a stack of problems.  Those with the same support step in
-lockstep: each array holds one row per problem still running, every operation
-acts row by row (one stacked LAPACK or BLAS call per matrix of the stack),
-and each problem leaves the stack at its own stopping test.  Problems with
-another support form their own stack.  So a problem's result does not depend
-on the others in its stack, while the cost of each numpy call is paid once
-per stack rather than once per problem; at d = 4 that cost, about 1.3 ms per
-iteration, is most of a solve.
+lockstep: every array of the iteration has one row per problem still running,
+every operation acts row by row (one stacked LAPACK or BLAS call per matrix
+of the stack), and each problem leaves the stack at its own stopping test,
+where all those arrays are cut together; what outlives its exit is written
+into its :class:`SdpSolution`.  Problems with another support form their own
+stack.  So a problem's result does not depend on the others in its stack,
+while the cost of each numpy call is paid once per stack rather than once
+per problem; at d = 4 that cost, about 1.3 ms per iteration, is most of a
+solve.
 
 Everything is dense numpy and deterministic.
 """
@@ -75,6 +77,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -85,17 +88,25 @@ BOUNDARY_FRACTION = 0.98
 DEFAULT_MAX_ITER = 200
 CG_RTOL = 1e-13
 CG_MAX_ITER = 10
+# the largest max |J - J^dag| of a Choi matrix taken as Hermitian
+CHOI_HERMITIAN_ATOL = 1e-10
 
 
 @dataclass
 class SdpSolution:
+    """One problem's result.  ``iterations``, ``status`` (``"Optimal"``,
+    ``"IterationCap"`` or ``"NumericalFailure"``) and ``trace``, the
+    ``(primal, dual)`` pair of each recorded iterate, are written in place as
+    the problem runs; ``primal``, ``dual``, their ``gap`` and
+    ``dual_residual = max(|W0 + W1 - lift(W2)|_max, |tr W2 - 2|)`` are filled
+    from its last recorded iterate when it leaves."""
+
     primal: float
     dual: float
     gap: float
     iterations: int
-    status: str  # "Optimal" | "IterationCap" | "NumericalFailure"
+    status: str
     trace: list[tuple[float, float]] = field(default_factory=list)
-    # max(|W0 + W1 - lift(W2)|_max, |tr W2 - 2|) at the reported iterate
     dual_residual: float = np.nan
 
 
@@ -407,7 +418,10 @@ def solve(j: np.ndarray, tol: float, max_iter: int = DEFAULT_MAX_ITER):
     d = math.isqrt(chois.shape[-1]) if chois.ndim == 3 else 0
     if d < 1 or chois.shape[1:] != (d * d, d * d):
         raise ValueError(f"Choi matrix must be d^2 x d^2 with d >= 1, got shape {j.shape}")
-    if not (np.all(np.isfinite(chois)) and np.abs(chois - _adj(chois)).max(initial=0.0) <= 1e-10):
+    if not (
+        np.all(np.isfinite(chois))
+        and np.abs(chois - _adj(chois)).max(initial=0.0) <= CHOI_HERMITIAN_ATOL
+    ):
         raise ValueError("Choi matrix must be finite and Hermitian")
     nonzero = chois != 0
     stacks: dict = {}
@@ -426,124 +440,107 @@ def solve(j: np.ndarray, tol: float, max_iter: int = DEFAULT_MAX_ITER):
 
 def _solve_stack(sectors: _Sectors, chois: np.ndarray, tol: float, max_iter: int):
     """:func:`solve` on a stack of Choi matrices gathered onto the support
-    ``sectors``, as a list of :class:`SdpSolution`."""
+    ``sectors``, as a list of :class:`SdpSolution`.  Every attribute of the
+    holder ``st`` has one row per live problem (``st.k`` their indices), and
+    ``retire`` cuts all of them together; what must outlive a problem's exit
+    goes into its :class:`SdpSolution` or into ``recorded``."""
     count, m, r = len(chois), len(sectors.rows), sectors.r
     n = m * m
     eye_in = np.eye(r)
 
     beta = np.max(np.abs(np.linalg.eigvalsh(chois)), axis=-1) + 1.0
-    z = beta[:, None, None] * np.eye(m, dtype=complex)
-    s = beta * sectors.max_out + 1.0
     w_start = np.repeat(np.eye(m, dtype=complex)[None] / r, count, axis=0)
-    ws = [w_start, w_start, np.repeat(2.0 * np.eye(r, dtype=complex)[None] / r, count, axis=0)]
-    stalls = np.zeros(count, dtype=int)
-
-    status = ["IterationCap"] * count
-    iterations = np.zeros(count, dtype=int)
-    traces: list[list[tuple[float, float]]] = [[] for _ in range(count)]
+    st = SimpleNamespace(k=np.arange(count), chois=chois, stalls=np.zeros(count, dtype=int))
+    st.z = beta[:, None, None] * np.eye(m, dtype=complex)
+    st.s = beta * sectors.max_out + 1.0
+    st.ws = [w_start, w_start, np.repeat(2.0 * np.eye(r, dtype=complex)[None] / r, count, axis=0)]
+    solutions = [SdpSolution(np.nan, np.nan, np.inf, 0, "IterationCap") for _ in range(count)]
     # (ws, row) of each problem's last recorded iterate, for its dual residual
     recorded: list = [None] * count
-    # the problems still in the stack, as indices into it; chois and every
-    # array of the iteration hold their rows in this order
-    live = np.arange(count)
     # keep the barrier target from collapsing below what double precision can
     # certify; iterates then hover near the tolerance scale instead of
     # grinding into singular S, W
     total_dim = 2 * m + r
     mu_floor = 0.25 * tol / total_dim
 
-    def retire(out, why, *arrays):
-        """End the live problems flagged in ``out`` with status ``why``, and
-        return ``arrays`` cut to the rows of the others."""
-        nonlocal live
-        if not out.any():
-            return arrays
-        for k in live[out]:
-            status[k] = why
-        live = live[~out]
-        return _rows(~out, arrays)
+    def retire(out, why):
+        """End the problems flagged in ``out`` with status ``why``, and cut
+        every attribute of ``st`` to the rows of the others."""
+        if out.any():
+            for k in st.k[out]:
+                solutions[k].status = why
+            vars(st).update({name: _rows(~out, value) for name, value in vars(st).items()})
 
     for it in range(1, max_iter + 1):
-        if not live.size:
+        if not st.k.size:
             break
-        iterations[live] = it
-        slacks = [hermitize(z - chois), z, hermitize(s[:, None, None] * eye_in - _tr_out(sectors, z))]
-        roots = [_psd_sqrt_pair(sk) for sk in slacks]
-        failed = np.min([lo for *_, lo in roots], axis=0) <= 0.0
-        chois, z, s, ws, stalls, slacks, roots = retire(
-            failed, "NumericalFailure", chois, z, s, ws, stalls, slacks, roots
-        )
+        for k in st.k:
+            solutions[k].iterations = it
+        st.slacks = [
+            hermitize(st.z - st.chois), st.z,
+            hermitize(st.s[:, None, None] * eye_in - _tr_out(sectors, st.z)),
+        ]
+        st.roots = [_psd_sqrt_pair(sk) for sk in st.slacks]
+        retire(np.min([lo for *_, lo in st.roots], axis=0) <= 0.0, "NumericalFailure")
 
-        primal = 2.0 * s
-        comp = _dot(slacks[0], ws[0]) + _dot(slacks[1], ws[1]) + _dot(slacks[2], ws[2])
-        for row, (k, pair) in enumerate(zip(live, zip(primal.tolist(), (primal - comp).tolist()))):
-            traces[k].append(pair)
-            recorded[k] = (ws, row)
-        chois, z, s, ws, stalls, slacks, roots, comp = retire(
-            comp <= tol, "Optimal", chois, z, s, ws, stalls, slacks, roots, comp
+        primal = 2.0 * st.s
+        comp = (
+            _dot(st.slacks[0], st.ws[0]) + _dot(st.slacks[1], st.ws[1]) + _dot(st.slacks[2], st.ws[2])
         )
+        for row, (k, pair) in enumerate(zip(st.k, zip(primal.tolist(), (primal - comp).tolist()))):
+            solutions[k].trace.append(pair)
+            recorded[k] = (st.ws, row)
+        st.mu = np.maximum(comp / total_dim, mu_floor)
+        retire(comp <= tol, "Optimal")
 
-        mu = np.maximum(comp / total_dim, mu_floor)
-        scalings = [_nt_scaling(*root[:2], wk) for root, wk in zip(roots, ws)]
-        failed = ~np.logical_and.reduce([ok for *_, ok in scalings])
-        chois, z, s, ws, stalls, slacks, roots, mu, scalings = retire(
-            failed, "NumericalFailure", chois, z, s, ws, stalls, slacks, roots, mu, scalings
-        )
-        target = (SIGMA * mu)[:, None, None]
-        rcs = [target * (wih @ wih) - sk for sk, (_, wih, _) in zip(slacks, scalings)]
+        st.scalings = [_nt_scaling(*root[:2], wk) for root, wk in zip(st.roots, st.ws)]
+        retire(~np.logical_and.reduce([ok for *_, ok in st.scalings]), "NumericalFailure")
+        target = (SIGMA * st.mu)[:, None, None]
+        st.rcs = [target * (wih @ wih) - sk for sk, (_, wih, _) in zip(st.slacks, st.scalings)]
         # S2 and W2 are block-diagonal; cut the roundoff of their eigh-built
         # functions off the blocks, so G2, the W2 step and W2 stay so exactly
-        gs = [g for g, *_ in scalings[:2]] + [np.where(sectors.mask, scalings[2][0], 0.0)]
-        rcs[2] = np.where(sectors.mask, rcs[2], 0.0)
-        grg = [g @ rc @ g for g, rc in zip(gs, rcs)]
+        st.gs = [g for g, *_ in st.scalings[:2]] + [np.where(sectors.mask, st.scalings[2][0], 0.0)]
+        st.rcs[2] = np.where(sectors.mask, st.rcs[2], 0.0)
+        grg = [g @ rc @ g for g, rc in zip(st.gs, st.rcs)]
 
         # the dual residual of the current W is zero up to roundoff drift;
         # the step works on Hermitian dZ, and grg is Hermitian up to roundoff
-        rhs = np.empty((len(live), n + 1), dtype=complex)
-        rhs_z = hermitize(grg[0] + grg[1] + ws[0] + ws[1] - _lift(sectors, grg[2] + ws[2]))
-        rhs[:, :n] = rhs_z.reshape(len(live), n)
+        rhs = np.empty((len(st.k), n + 1), dtype=complex)
+        rhs_z = hermitize(grg[0] + grg[1] + st.ws[0] + st.ws[1] - _lift(sectors, grg[2] + st.ws[2]))
+        rhs[:, :n] = rhs_z.reshape(len(st.k), n)
         rhs[:, n] = (
-            np.trace(grg[2], axis1=1, axis2=2).real + np.trace(ws[2], axis1=1, axis2=2).real - 2.0
+            np.trace(grg[2], axis1=1, axis2=2).real + np.trace(st.ws[2], axis1=1, axis2=2).real - 2.0
         )
-        step = _newton_step(sectors, *gs, rhs)
-        chois, z, s, ws, stalls, roots, scalings, gs, rcs, step = retire(
-            ~np.all(np.isfinite(step), axis=1),
-            "NumericalFailure",
-            chois, z, s, ws, stalls, roots, scalings, gs, rcs, step,
-        )
-        dz = hermitize(step[:, :n].reshape(len(live), m, m))
-        ds = step[:, n].real
+        st.step = _newton_step(sectors, *st.gs, rhs)
+        retire(~np.all(np.isfinite(st.step), axis=1), "NumericalFailure")
+        st.dz = hermitize(st.step[:, :n].reshape(len(st.k), m, m))
+        st.ds = st.step[:, n].real
 
-        dslacks = [dz, dz, hermitize(ds[:, None, None] * eye_in - _tr_out(sectors, dz))]
-        dws = [hermitize(g @ (rc - dsk) @ g) for g, rc, dsk in zip(gs, rcs, dslacks)]
+        dslacks = [st.dz, st.dz, hermitize(st.ds[:, None, None] * eye_in - _tr_out(sectors, st.dz))]
+        st.dws = [hermitize(g @ (rc - dsk) @ g) for g, rc, dsk in zip(st.gs, st.rcs, dslacks)]
         # the fraction scales every step bound alike, so it may scale their least
-        steps_p = [_max_step(root[1], dsk) for root, dsk in zip(roots, dslacks)]
-        steps_d = [_max_step(wih, dw) for (_, wih, _), dw in zip(scalings, dws)]
-        alpha_p = np.minimum(1.0, BOUNDARY_FRACTION * np.minimum.reduce(steps_p))
-        alpha_d = np.minimum(1.0, BOUNDARY_FRACTION * np.minimum.reduce(steps_d))
+        steps_p = [_max_step(root[1], dsk) for root, dsk in zip(st.roots, dslacks)]
+        steps_d = [_max_step(wih, dw) for (_, wih, _), dw in zip(st.scalings, st.dws)]
+        st.alpha_p = np.minimum(1.0, BOUNDARY_FRACTION * np.minimum.reduce(steps_p))
+        st.alpha_d = np.minimum(1.0, BOUNDARY_FRACTION * np.minimum.reduce(steps_d))
 
-        stalls = np.where((alpha_p < 1e-10) & (alpha_d < 1e-10), stalls + 1, 0)
-        chois, z, s, ws, stalls, dz, ds, dws, alpha_p, alpha_d = retire(
-            stalls >= 3, "NumericalFailure", chois, z, s, ws, stalls, dz, ds, dws, alpha_p, alpha_d
-        )
+        st.stalls = np.where((st.alpha_p < 1e-10) & (st.alpha_d < 1e-10), st.stalls + 1, 0)
+        retire(st.stalls >= 3, "NumericalFailure")
 
-        z = z + alpha_p[:, None, None] * dz
-        s = s + alpha_p * ds
-        ws = [wk + alpha_d[:, None, None] * dw for wk, dw in zip(ws, dws)]
+        st.z = st.z + st.alpha_p[:, None, None] * st.dz
+        st.s = st.s + st.alpha_p * st.ds
+        st.ws = [wk + st.alpha_d[:, None, None] * dw for wk, dw in zip(st.ws, st.dws)]
 
-    solutions = []
-    for k in range(count):
-        primal, dual = traces[k][-1] if traces[k] else (np.nan, np.nan)
-        gap = abs(primal - dual) if np.isfinite(primal) and np.isfinite(dual) else np.inf
-        dual_residual = np.nan
-        if recorded[k] is not None:
-            ws, row = recorded[k]
-            w0, w1, w2 = (w[row] for w in ws)
-            dual_residual = max(
-                float(np.max(np.abs(w0 + w1 - _lift(sectors, w2[None])[0]))),
-                abs(float(np.trace(w2).real) - 2.0),
-            )
-        solutions.append(
-            SdpSolution(primal, dual, gap, int(iterations[k]), status[k], traces[k], dual_residual)
+    for sol, rec in zip(solutions, recorded):
+        if rec is None:
+            continue
+        sol.primal, sol.dual = sol.trace[-1]
+        if np.isfinite(sol.primal) and np.isfinite(sol.dual):
+            sol.gap = abs(sol.primal - sol.dual)
+        ws, row = rec
+        w0, w1, w2 = (w[row] for w in ws)
+        sol.dual_residual = max(
+            float(np.max(np.abs(w0 + w1 - _lift(sectors, w2[None])[0]))),
+            abs(float(np.trace(w2).real) - 2.0),
         )
     return solutions

@@ -432,6 +432,48 @@ def same_solution(a, b):
     assert a.trace == b.trace
 
 
+def no_slack_root(out):
+    half, invhalf, lo = out
+    lo = lo.copy()
+    lo[0] = -1.0
+    return half, invhalf, lo
+
+
+def failed_scaling(out):
+    g, w_invhalf, ok = out
+    ok = ok.copy()
+    ok[0] = False
+    return g, w_invhalf, ok
+
+
+def non_finite_step(out):
+    out[0] = np.nan
+    return out
+
+
+def no_room(out):
+    out[0] = 0.0
+    return out
+
+
+# each NumericalFailure exit of the iteration, forced on row 0 of the stack
+# as (stage, first poisoned call, poisoned calls, poison of the stage's
+# result, iterations and recorded iterates of the failed problem); rows keep
+# stack order, so row 0 is the lowest-index problem still running.  An
+# iteration takes six _psd_sqrt_pair calls (three slack roots, then three
+# inside _nt_scaling), three _nt_scaling calls, one _newton_step and six
+# _max_step calls, so each poison strikes in iteration 3.
+FAILURE_EXITS = {
+    # the slack exit comes before the iterate is recorded
+    "slack-root": ("_psd_sqrt_pair", 13, 1, no_slack_root, 3, 2),
+    "nt-scaling": ("_nt_scaling", 7, 1, failed_scaling, 3, 3),
+    "newton-step": ("_newton_step", 3, 1, non_finite_step, 3, 3),
+    # both step bounds 0 in iterations 3, 4 and 5, after which the problem
+    # leaves; the poison stops there, or the next row 0 would stall too
+    "stall": ("_max_step", 13, 18, no_room, 5, 5),
+}
+
+
 class TestStack:
     @pytest.mark.parametrize("d", [2, 4])
     def test_each_problem_as_if_alone(self, d):
@@ -466,6 +508,38 @@ class TestStack:
         assert stops == [("IterationCap", 16), ("Optimal", 16)]
         for a, b in zip(alone, sdp.solve(np.array(pair), 1e-7, max_iter=16)):
             same_solution(a, b)
+
+    @pytest.mark.parametrize("exit_", list(FAILURE_EXITS))
+    def test_failed_problem_leaves_others_alone(self, monkeypatch, exit_):
+        # a problem that fails mid-stack ends as it does alone under the same
+        # fault, and every other problem as it does alone without one
+        stage, first, calls, poison, iterations, recorded = FAILURE_EXITS[exit_]
+        real = getattr(sdp, stage)
+
+        def solve_poisoned(chois):
+            count = 0
+
+            def poisoned(*args):
+                nonlocal count
+                count += 1
+                out = real(*args)
+                return poison(out) if first <= count < first + calls else out
+
+            with monkeypatch.context() as patch:
+                patch.setattr(sdp, stage, poisoned)
+                return sdp.solve(np.array(chois), 1e-7)
+
+        chois = stack_set(2)
+        assert len({support(j).rows.tobytes() for j in chois}) == 1
+        stacked = solve_poisoned(chois)
+        failed = solve_poisoned(chois[:1])[0]
+        assert (failed.status, failed.iterations) == ("NumericalFailure", iterations)
+        assert len(failed.trace) == recorded
+        same_solution(stacked[0], failed)
+        for j, sol in zip(chois[1:], stacked[1:]):
+            same_solution(sdp.solve(j[None], 1e-7)[0], sol)
+        # the others were still running when the failed problem left
+        assert min(sol.iterations for sol in stacked[1:]) > failed.iterations
 
     def test_iterations_total(self):
         # the stack reports its total iteration count as one int, beside
